@@ -17,9 +17,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -167,10 +165,6 @@ def _write_csv(out: Optional[str], comment: str, header: list[str], rows: list[l
         sys.stdout.write(text)
 
 
-def _pool() -> ThreadPoolExecutor:
-    return ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -259,8 +253,7 @@ def cmd_exponent(args) -> int:
                 "" if dual_val == "" else repr(_scale(dual_val, args.nats)),
                 "" if gap == "" else repr(gap)]
 
-    with _pool() as pool:
-        rows = list(pool.map(work, points))
+    rows = [work(point) for point in points]
     _write_csv(args.out, _runconfig(args, f"exponent-{args.problem}").comment(),
                ["beta", "rate", "value", "arg_alpha", "dual_value", "gap"], rows)
     return EXIT_OK
@@ -388,8 +381,7 @@ def cmd_sweep(args) -> int:
             return [q, str(a), str(b), "", "undefined"]
         return [q, str(a), str(b), repr(_scale(r.value, args.nats)), r.branch]
 
-    with _pool() as pool:
-        rows = list(pool.map(work, points))
+    rows = [work(point) for point in points]
     _write_csv(args.out, _runconfig(args, "sweep").comment(),
                ["quantity", "alpha", "beta", "value", "branch"], rows)
     return EXIT_OK

@@ -13,6 +13,7 @@ threads.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -41,6 +42,8 @@ def _check_mass(probs: np.ndarray, what: str) -> np.ndarray:
     if probs.size and probs.min() < 0.0:
         raise NegativeMass(f"{what} has negative entries (min {probs.min()!r})")
     total = float(probs.sum())
+    if math.isnan(total):  # -inf is negative and +inf fails the deviation test
+        raise NotNormalized(f"{what} has NaN entries")
     dev = abs(total - 1.0)
     if dev > NORMALIZATION_TOL:
         raise NotNormalized(

@@ -18,8 +18,13 @@ Dual forms (beta < 1): minimizations over auxiliary joints Q of
     SC:  D(Q_Y||P_Y) + (beta/(1-beta)) D(Q_XY||P_XY)
          + |D(Q_{X|Y}||P_X|Q_Y) - R|+
 
-solved with the simplex-opt machinery; the clipped terms are convex
-nonsmooth addends with subgradient 0 inside the clip. Rates are in bits.
+Both are clipped combinations of the relative-entropy terms that
+:mod:`renyinfo.simplex_opt` computes for the variational objectives, and
+both run on its single grid + mirror-descent driver; the PA form takes the
+driver's evaluated points and splits them into the pieces G1 (where
+H(X|Y)_Q > R) and G2. The clipped terms are convex nonsmooth addends with
+subgradient 0 inside the clip. The dual route shares no code with the
+primal one: it never calls the two-parameter measures. Rates are in bits.
 """
 
 from __future__ import annotations
@@ -31,16 +36,18 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dist import JointPmf
-from .errors import NonFiniteObjectiveEverywhere
 from .measures import cond_entropy_variant, mutual_info_variant
 from .simplex_opt import (
+    DEFAULT_CONFIG,
     OptReport,
     SimplexObjective,
     SolverConfig,
-    _safe_log2,
+    _Terms,
+    _joint_logs,
+    _lipschitz_surrogate,
+    _report,
     _scatter,
-    evaluate_grid,
-    mirror_descent,
+    _solve,
     minimize_over_joint,
 )
 from .two_param import h_tilde, h_tilde_curve, i_tilde_curve
@@ -169,28 +176,6 @@ def pa_exponent(joint: JointPmf, beta: float, rate, cfg: Optional[ExponentConfig
     return ExponentResult(value, BRANCH_LT1, a_star, dual_value, dual_argmin)
 
 
-def _base_parts(joint: JointPmf, beta: float):
-    p = joint.probs
-    mask = p > 0.0
-    logp = np.where(mask, _safe_log2(p), 0.0)
-    py = p.sum(axis=0)
-    logpy = np.where(py > 0.0, _safe_log2(py), 0.0)
-    w = beta / (1.0 - beta)
-
-    def parts(q: np.ndarray):
-        lq = np.where(q > 0.0, _safe_log2(q), 0.0)
-        qy = q.sum(axis=-2)
-        lqy = np.where(qy > 0.0, _safe_log2(qy), 0.0)
-        dqp = np.where(q > 0.0, q * (lq - logp), 0.0).sum(axis=(-2, -1))
-        dy = np.where(qy > 0.0, qy * (lqy - logpy), 0.0).sum(axis=-1)
-        h_joint = -np.where(q > 0.0, q * lq, 0.0).sum(axis=(-2, -1))
-        h_y = -np.where(qy > 0.0, qy * lqy, 0.0).sum(axis=-1)
-        base = dy + w * dqp
-        return base, h_joint - h_y, lq, lqy
-
-    return mask, logp, logpy, w, parts
-
-
 def pa_dual_exponent(
     joint: JointPmf, beta: float, rate, cfg: Optional[SolverConfig] = None
 ) -> tuple[OptReport, OptReport]:
@@ -209,77 +194,40 @@ def pa_dual_exponent(
     if not (0.0 < beta < 1.0):
         raise ValueError("dual form requires beta in (0, 1)")
     r = rate.bits if isinstance(rate, Rate) else Rate(float(rate)).bits
-    cfg = cfg or SolverConfig()
-    mask, logp, logpy, w, parts = _base_parts(joint, beta)
+    logs = _joint_logs(joint)
+    w = beta / (1.0 - beta)
 
     def batch(q: np.ndarray) -> np.ndarray:
-        base, h, _, _ = parts(q)
-        return base + np.maximum(r - h, 0.0)
+        t = _Terms(q, logs)
+        return t.dy + w * t.dqp + np.maximum(r - t.h, 0.0)
 
     def grad(q: np.ndarray) -> np.ndarray:
-        base, h, lq, lqy = parts(q)
-        ly = lqy[..., None, :]
-        g = (ly - logpy[..., None, :]) + w * (lq - logp)
-        active = (r - h) > 0.0
-        return g + np.where(active[..., None, None], lq - ly, 0.0)
+        t = _Terms(q, logs)
+        active = (r - t.h) > 0.0
+        return t.g_dy + w * t.g_dqp - np.where(active[..., None, None], t.g_h, 0.0)
 
-    obj = SimplexObjective(
-        fn=lambda q: float(batch(q[None])[0]),
-        dims=joint.shape,
-        grad=grad,
-        batch=batch,
-        support=mask,
-    )
+    obj = SimplexObjective(joint.shape, batch, grad, logs.mask)
+    run = _solve(obj, logs.mask, cfg or DEFAULT_CONFIG, joint.probs[logs.mask][None, :])
 
-    coords, vals, resolution = evaluate_grid(obj, mask, cfg)
-    finite = np.isfinite(vals)
-    if not finite.any():
-        raise NonFiniteObjectiveEverywhere("dual objective infinite on the whole grid")
-    order = np.argsort(np.where(finite, vals, INF))
-    k = min(cfg.refine_starts, int(finite.sum()))
-    seeds = coords[order[:k]]
-    seeds = np.concatenate([seeds, joint.probs[mask][None, :]], axis=0)
-    d = int(mask.sum())
-    uniform = np.full(d, 1.0 / d)
-    seeds = (1.0 - cfg.interior_mix) * seeds + cfg.interior_mix * uniform
-
-    best_val, best_pt, ends, _, iters, final_step = mirror_descent(obj, seeds, mask, cfg)
-
-    candidates = np.concatenate([coords, ends, best_pt[None, :]], axis=0)
-    base_c, h_c, _, _ = parts(_scatter(candidates, mask))
+    candidates = np.concatenate([run.coords, run.ends, run.best_pt[None, :]], axis=0)
+    t = _Terms(_scatter(candidates, run.mask), logs)
+    base_c, h_c = t.dy + w * t.dqp, t.h
     labels = (joint.alphabet_x, joint.alphabet_y)
 
     def piece_report(sel: np.ndarray, values: np.ndarray, contains_refined: bool) -> OptReport:
         if not sel.any():
-            return OptReport(INF, None, "infeasible", INF, iters, final_step)
+            return _report(run, INF, None, "infeasible", INF, labels)
         idx = np.flatnonzero(sel)
         jbest = idx[int(np.argmin(values[sel]))]
-        full = _scatter(candidates[jbest], mask)
-        argmin = JointPmf(labels[0], labels[1], full / full.sum())
-        delta = final_step if contains_refined else resolution
-        lip = cfg.lipschitz or _grad_bound(grad, candidates[jbest], mask, cfg)
-        return OptReport(
-            float(values[jbest]), argmin, "grid+refine" if contains_refined else "grid",
-            float(lip * delta), iters, final_step,
-        )
+        delta = run.final_step if contains_refined else run.resolution
+        lip = _lipschitz_surrogate(obj, candidates[jbest][None, :], run.mask)
+        method = "grid+refine" if contains_refined else "grid"
+        return _report(run, float(values[jbest]), candidates[jbest], method, lip * delta, labels)
 
     in_g1 = h_c > r
-    g1_vals = base_c
-    g2_vals = base_c + (r - h_c)
     refined_in_g1 = bool(h_c[-1] > r)
-    g1 = piece_report(in_g1, g1_vals, refined_in_g1)
-    g2 = piece_report(~in_g1, g2_vals, not refined_in_g1)
-    return g1, g2
-
-
-def _grad_bound(grad, coords: np.ndarray, mask: np.ndarray, cfg: SolverConfig) -> float:
-    d = int(mask.sum())
-    uniform = np.full(d, 1.0 / d)
-    q = (1.0 - cfg.interior_margin) * coords + cfg.interior_margin * uniform
-    g = grad(_scatter(q, mask))[mask]
-    g = g - g.mean()
-    v = float(np.abs(g).max())
-    return 2.0 * v if math.isfinite(v) else INF
+    return (piece_report(in_g1, base_c, refined_in_g1),
+            piece_report(~in_g1, base_c + (r - h_c), not refined_in_g1))
 
 
 # ---------------------------------------------------------------------------
@@ -324,34 +272,19 @@ def sc_dual_exponent(
     if not (0.0 < beta < 1.0):
         raise ValueError("dual form requires beta in (0, 1)")
     r = rate.bits if isinstance(rate, Rate) else Rate(float(rate)).bits
-    cfg = cfg or SolverConfig()
-    mask, logp, logpy, w, parts = _base_parts(joint, beta)
-    px = joint.probs.sum(axis=1)
-    logpx = np.where(px > 0.0, _safe_log2(px), 0.0)
-
-    def cond_div(q, lq, lqy):
-        ref = lqy[..., None, :] + logpx[..., :, None]
-        return np.where(q > 0.0, q * (lq - ref), 0.0).sum(axis=(-2, -1))
+    logs = _joint_logs(joint)
+    w = beta / (1.0 - beta)
 
     def batch(q: np.ndarray) -> np.ndarray:
-        base, _, lq, lqy = parts(q)
-        return base + np.maximum(cond_div(q, lq, lqy) - r, 0.0)
+        t = _Terms(q, logs)
+        return t.dy + w * t.dqp + np.maximum(t.dxc - r, 0.0)
 
     def grad(q: np.ndarray) -> np.ndarray:
-        base, _, lq, lqy = parts(q)
-        ly = lqy[..., None, :]
-        g = (ly - logpy[..., None, :]) + w * (lq - logp)
-        active = (cond_div(q, lq, lqy) - r) > 0.0
-        extra = lq - ly - logpx[..., :, None]
-        return g + np.where(active[..., None, None], extra, 0.0)
+        t = _Terms(q, logs)
+        active = (t.dxc - r) > 0.0
+        return t.g_dy + w * t.g_dqp + np.where(active[..., None, None], t.g_dxc, 0.0)
 
-    obj = SimplexObjective(
-        fn=lambda q: float(batch(q[None])[0]),
-        dims=joint.shape,
-        grad=grad,
-        batch=batch,
-        support=mask,
-    )
+    obj = SimplexObjective(joint.shape, batch, grad, logs.mask)
     return minimize_over_joint(
         obj,
         cfg=cfg,

@@ -187,7 +187,8 @@ def pa_min_divergence_exhaustive(
         if vals[j] < best_val:
             best_val = float(vals[j])
             best_table = tuple(int(z) for z in tables[j])
-    assert best_table is not None
+    if best_table is None:
+        raise RuntimeError(f"no hash table of {m}^{d} gave a divergence below +inf")
     return best_val, HashSpec(best_table, m, "exhaustive-min")
 
 

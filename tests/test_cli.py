@@ -63,6 +63,16 @@ class TestMeasure:
         assert rc == 2
         assert "line" in capsys.readouterr().err
 
+    def test_nonfinite_mass_is_config_error(self, tmp_path, capsys):
+        for bad in ("NaN", "Infinity"):
+            path = tmp_path / f"{bad}.json"
+            path.write_text('{"alphabet_x": ["a", "b"], "alphabet_y": ["0", "1"], '
+                            f'"pmf": [[0.5, 0.5], [0.0, {bad}]]}}')
+            rc = main(["measure", "--input", str(path), "--quantity", "htilde",
+                       "--alpha", "2", "--beta", "0.5"])
+            assert rc == 2, bad
+            assert "JointPmf" in capsys.readouterr().err
+
     def test_nats_rescale(self, joint_path, tmp_path):
         o1, o2 = tmp_path / "bits.csv", tmp_path / "nats.csv"
         main(["measure", "--input", joint_path, "--quantity", "h", "--alpha", "2",

@@ -39,6 +39,17 @@ def test_validate_rejects_mass_deficit():
     assert "1.000e-03" in str(e.value)
 
 
+def test_validate_rejects_nonfinite_mass():
+    with pytest.raises(NotNormalized):
+        JointPmf(("a", "b"), ("c", "d"), [[0.5, 0.5], [0.0, math.nan]])
+    with pytest.raises(NotNormalized):
+        Pmf(("a", "b", "c"), [0.5, 0.5, math.nan])
+    with pytest.raises(NotNormalized):
+        JointPmf(("a", "b"), ("c", "d"), [[0.25, 0.25], [0.25, math.inf]])
+    with pytest.raises(NegativeMass):
+        JointPmf(("a", "b"), ("c", "d"), [[0.25, 0.25], [0.25, -math.inf]])
+
+
 def test_validate_uniform_joint():
     JointPmf(("a", "b"), ("c", "d"), [[0.25, 0.25], [0.25, 0.25]])
 

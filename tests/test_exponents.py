@@ -109,6 +109,16 @@ class TestPaDual:
         assert g2.minimum <= at_reference + 1e-9
         assert g2.minimum == pytest.approx(pa_exponent(j, 0.3, r).value, abs=1e-3)
 
+    def test_stop_reasons_of_pieces(self, rng):
+        j = random_joint(rng, 2, 2)
+        g1, g2 = pa_dual_exponent(j, 0.3, math.log2(2) + 0.5, SOLVER)
+        assert g1.stop_reason == "infeasible"
+        assert g2.stop_reason in ("converged", "max_iters")
+        g1, g2 = pa_dual_exponent(j, 0.3, 0.5, SolverConfig(max_iters=1, refine_starts=3))
+        for g in (g1, g2):
+            if g.argmin is not None:
+                assert g.stop_reason == "max_iters" and g.iterations == 1
+
     def test_zero_rate_min_is_zero(self, rng):
         j = random_joint(rng, 3, 2)
         assert shannon_cond_entropy(j) > 0.0

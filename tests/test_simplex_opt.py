@@ -7,6 +7,7 @@ from renyinfo.dist import JointPmf
 from renyinfo.errors import DimensionCap, NonFiniteObjectiveEverywhere
 from renyinfo.sampling import random_joint, random_joint_with_zeros
 from renyinfo.simplex_opt import (
+    STOP_STEP,
     SimplexObjective,
     SolverConfig,
     minimize_over_joint,
@@ -33,7 +34,6 @@ def kl_objective(p: JointPmf) -> SimplexObjective:
         return lq - logp
 
     return SimplexObjective(
-        fn=lambda q: float(batch(q[None])[0]),
         dims=p.shape,
         grad=grad,
         batch=batch,
@@ -50,19 +50,34 @@ class TestSolverCore:
         assert rep.gap >= 0.0
 
     def test_dimension_cap(self, rng):
-        p = random_joint(rng, 3, 3)
+        p = random_joint(rng, 7, 6)  # 42 cells > DIM_CAP = 36
         with pytest.raises(DimensionCap):
-            minimize_over_joint(kl_objective(p), cfg=SolverConfig(dim_cap=4))
+            minimize_over_joint(kl_objective(p), cfg=FAST)
 
     def test_nonfinite_everywhere(self):
-        obj = SimplexObjective(fn=lambda q: math.inf, dims=(2, 2),
-                               batch=lambda q: np.full(q.shape[:-2], math.inf))
+        obj = SimplexObjective(dims=(2, 2),
+                               batch=lambda q: np.full(q.shape[:-2], math.inf),
+                               grad=lambda q: np.zeros_like(q))
         with pytest.raises(NonFiniteObjectiveEverywhere):
             minimize_over_joint(obj, cfg=FAST)
 
+    def test_stop_reason(self, rng):
+        j = random_joint(rng, 3, 3)
+        rep = variational_i(j, 2.0, 0.5, SolverConfig(max_iters=1, refine_starts=3))
+        assert rep.stop_reason == "max_iters" and rep.iterations == 1
+        seen = set()
+        for (a, b) in [(2.0, 0.5), (0.5, 2.0)]:
+            for solve in (variational_h, variational_i):
+                rep = solve(j, a, b, FAST)
+                ran_out = rep.iterations == FAST.max_iters and rep.final_step >= STOP_STEP
+                assert (rep.stop_reason == "max_iters") == ran_out, (solve.__name__, a, b)
+                assert rep.stop_reason in ("converged", "max_iters")
+                seen.add(rep.stop_reason)
+        assert seen == {"converged", "max_iters"}
+
     def test_descent_is_monotone_in_incumbent(self, rng):
-        # the incumbent assertion lives inside mirror_descent; a solve
-        # completing without AssertionError is the check
+        # the incumbent check lives inside mirror_descent; a solve
+        # completing without RuntimeError is the check
         p = random_joint(rng, 2, 3)
         variational_h(p, 2.0, 0.5, FAST)
 
