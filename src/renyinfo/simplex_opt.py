@@ -71,6 +71,8 @@ class SimplexObjective:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """The two settings callers choose; the rest are module constants."""
+
     max_iters: int = 10_000
     refine_starts: int = 5
 
