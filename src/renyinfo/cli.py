@@ -81,12 +81,9 @@ class RunConfig:
     """Validated per-invocation configuration behind the output comment line."""
 
     command: str
-    inputs: tuple[str, ...]
     seed: Optional[int]
     tol: float
-    out: Optional[str]
     nats: bool = False
-    strict_corner: bool = False
 
     def __post_init__(self):
         if self.tol is not None and self.tol <= 0.0:
@@ -98,15 +95,11 @@ class RunConfig:
 
 
 def _runconfig(args, command: str) -> RunConfig:
-    inputs = tuple(p for p in [getattr(args, "input", None), getattr(args, "ref", None)] if p)
     return RunConfig(
         command=command,
-        inputs=inputs,
         seed=getattr(args, "seed", None),
         tol=getattr(args, "tol", 1e-9),
-        out=getattr(args, "out", None),
         nats=bool(getattr(args, "nats", False)),
-        strict_corner=bool(getattr(args, "strict_corner", False)),
     )
 
 

@@ -73,8 +73,6 @@ class Rate:
 class ExponentConfig:
     grid_step: float = 1e-3
     alpha_tol: float = 1e-9
-    with_dual: bool = False
-    solver: Optional[SolverConfig] = None
 
 
 DEFAULT_EXP_CONFIG = ExponentConfig()
@@ -82,14 +80,11 @@ DEFAULT_EXP_CONFIG = ExponentConfig()
 
 @dataclass(frozen=True)
 class ExponentResult:
-    """Exponent in bits, the branch used, the maximizing alpha (beta < 1),
-    and the dual certificate when requested."""
+    """Exponent in bits, the branch used, and the maximizing alpha (beta < 1)."""
 
     value: float
     branch: str
     arg_alpha: Optional[float] = None
-    dual_value: Optional[float] = None
-    dual_argmin: Optional[JointPmf] = None
 
 
 def _coeff(alpha: np.ndarray | float, beta: float):
@@ -166,14 +161,7 @@ def pa_exponent(joint: JointPmf, beta: float, rate, cfg: Optional[ExponentConfig
         return _coeff(alphas, beta) * (r - h_tilde_curve(joint, alphas, beta))
 
     value, a_star = _maximize_over_alpha(curve, beta, cfg)
-    dual_value = None
-    dual_argmin = None
-    if cfg.with_dual:
-        g1, g2 = pa_dual_exponent(joint, beta, r, cfg.solver)
-        pick = g1 if g1.minimum <= g2.minimum else g2
-        dual_value = pick.minimum
-        dual_argmin = pick.argmin
-    return ExponentResult(value, BRANCH_LT1, a_star, dual_value, dual_argmin)
+    return ExponentResult(value, BRANCH_LT1, a_star)
 
 
 def pa_dual_exponent(
@@ -253,13 +241,7 @@ def sc_exponent(joint: JointPmf, beta: float, rate, cfg: Optional[ExponentConfig
         return _coeff(alphas, beta) * (i_tilde_curve(joint, alphas, beta) - r)
 
     value, a_star = _maximize_over_alpha(curve, beta, cfg)
-    dual_value = None
-    dual_argmin = None
-    if cfg.with_dual:
-        rep = sc_dual_exponent(joint, beta, r, cfg.solver)
-        dual_value = rep.minimum
-        dual_argmin = rep.argmin
-    return ExponentResult(value, BRANCH_LT1, a_star, dual_value, dual_argmin)
+    return ExponentResult(value, BRANCH_LT1, a_star)
 
 
 def sc_dual_exponent(

@@ -1,8 +1,37 @@
-"""Classical order-alpha information measures on finite alphabets.
+"""Order-alpha information measures on finite alphabets, and the one kernel
+behind every conditional entropy and mutual information.
 
 Renyi divergence and entropy, the conditional Renyi divergence, four
 conditional-entropy variants and four mutual-information variants, each
 defined on the full extended order range [0, inf].
+
+The kernel. For the Y symbols with P_Y(y) > 0, weights w_y = P_Y(y),
+conditional rows P_{X|y} and a reference vector r on X, the row terms are
+c_y = D_alpha(P_{X|y} || r) and the kernel is their log-domain power mean
+of order s = beta (alpha - 1) / alpha:
+
+    K_{alpha,beta}(r) = (1/s) log2 sum_y w_y 2^(s c_y)
+        = (alpha / (beta (alpha - 1))) *
+              log2 sum_y w_y ( sum_x r(x)^(1-alpha) P_{X|Y}(x|y)^alpha )^(beta/alpha).
+
+Its limit lines are branches of one function: beta = 0 (s = 0) is the
+w-weighted mean of the row terms; beta = inf is their max for alpha > 1
+and their min for alpha < 1 (s = +-inf); alpha = 0 has s = -inf for every
+beta > 0; alpha = 1 has s = 0, the Shannon average; alpha = inf has
+s = beta; the (0, 0) corner is the beta-then-alpha iterated limit, the mean
+of the order-0 row terms. The two-parameter measures of
+:mod:`renyinfo.two_param` are
+
+    I~_{alpha,beta}(X:Y) = K_{alpha,beta}(P_X),
+    H~_{alpha,beta}(X|Y) = -K_{alpha,beta}(1_X)   (P_X replaced by all-ones),
+
+and the classical variants are its slices: beta = 0 gives hbar / ibar
+(the P_Y-averaged rows), beta = 1 gives hstar / istar (the reference Q_Y
+minimized in closed form), beta = inf gives hbarstar / ibarstar (the
+worst row). The beta = alpha slice, "h" / "i", is evaluated instead as the
+divergence of the flattened joint from 1_X x P_Y or P_X x P_Y, a second
+route the collapse checks compare the kernel with. The rows come straight
+from the joint's probability matrix; no per-row distribution is built.
 
 Conventions (all logs base 2, values in bits):
 
@@ -23,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import CondPmf, JointPmf, Pmf, condition_on_y, joint_from_channel, marginal_x
+from .dist import CondPmf, JointPmf, Pmf, joint_from_channel
 from .errors import AlphabetMismatch
 from .orders import ExtOrder
 
@@ -79,28 +108,97 @@ def logsumexp2(t: np.ndarray, axis=None) -> np.ndarray | float:
     return np.squeeze(out, axis=axis)
 
 
-def _power_sum_log(logp: np.ndarray, a: float) -> float:
-    """log2 of sum p_i^a over the support encoded as finite logp entries."""
-    finite = logp[np.isfinite(logp)]
-    return logsumexp2(a * finite)
+# ---------------------------------------------------------------------------
+# the reference-weighted kernel
+
+
+def _kernel_inputs(joint: JointPmf, mutual: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(weights, log rows, log r) of a joint, r = P_X for I~ and 1_X for H~.
+
+    weights (m,) is P_Y on its support; column j of log rows (nx, m) is
+    log2 P_{X|Y}(. | y_j) with -inf at exact zeros. The joint was validated
+    when it was built, so the rows are not validated again.
+    """
+    py = joint.probs.sum(axis=0)
+    pos = py > 0.0
+    weights = py[pos]
+    logrows = log2_strict(joint.probs[:, pos] / weights)
+    logr = log2_strict(joint.probs.sum(axis=1)) if mutual else np.zeros(joint.shape[0])
+    return weights, logrows, logr
+
+
+def _inner(logrows: np.ndarray, logr: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """log2 sum_x r(x)^(1-alpha) P_{X|y}(x)^alpha, shape (len(alphas), m).
+
+    A row entry is positive only where r is (r is P_X or 1_X), so setting
+    the -inf entries of log r to 0 changes no term: those cells already
+    carry alpha * log 0 = -inf. Holds one (k, nx, m) array plus the two of
+    the exponent sum.
+    """
+    lr = np.where(np.isfinite(logr), logr, 0.0)[:, None]
+    t = alphas[:, None, None] * logrows
+    t += (1.0 - alphas)[:, None, None] * lr
+    return logsumexp2(t, axis=1)
+
+
+def _generic(weights, logrows, logr, alphas: np.ndarray, beta: float) -> np.ndarray:
+    """The kernel at finite alphas != 1 and one finite beta > 0, vectorized
+    over alpha."""
+    terms = np.log2(weights) + (beta / alphas)[:, None] * _inner(logrows, logr, alphas)
+    return alphas / (beta * (alphas - 1.0)) * logsumexp2(terms, axis=1)
+
+
+def _row_terms(logrows: np.ndarray, logr: np.ndarray, a: ExtOrder) -> np.ndarray:
+    """The row terms c_y = D_a(P_{X|y} || r), shape (m,)."""
+    if a.is_finite:
+        alpha = a.as_float()
+        return _inner(logrows, logr, np.array([alpha]))[0] / (alpha - 1.0)
+    on_row = np.isfinite(logrows)
+    if a.is_zero:
+        return -logsumexp2(np.where(on_row, logr[:, None], -INF), axis=0)
+    log_ratio = logrows - np.where(np.isfinite(logr), logr, 0.0)[:, None]
+    if a.is_inf:
+        return log_ratio.max(axis=0)
+    return np.sum(np.exp2(logrows) * np.where(on_row, log_ratio, 0.0), axis=0)
+
+
+def _branch(a: ExtOrder, b: ExtOrder) -> str:
+    if a.is_zero:
+        return "corner_zero_zero" if b.is_zero else BRANCH_ALPHA_ZERO
+    if a.is_one:
+        return BRANCH_ALPHA_ONE
+    beta_line = "beta_zero" if b.is_zero else "beta_inf" if b.is_inf else ""
+    if a.is_inf:
+        return BRANCH_ALPHA_INF + ("_" + beta_line if beta_line else "")
+    return beta_line or BRANCH_GENERIC
+
+
+def _kernel(weights, logrows, logr, a: ExtOrder, b: ExtOrder) -> tuple[float, str]:
+    """K_{a,b}(r) in bits and the name of its branch (module docstring).
+
+    The caller rules out the undefined pair (1, inf).
+    """
+    if a.is_finite and b.is_finite:
+        value = float(_generic(weights, logrows, logr, np.array([a.as_float()]), b.as_float())[0])
+        return value, _branch(a, b)
+    c = _row_terms(logrows, logr, a)
+    if b.is_zero or a.is_one:
+        value = float(np.sum(weights * c))
+    elif b.is_inf or a.is_zero:
+        value = float(c.max() if a.as_float() > 1.0 else c.min())
+    else:  # alpha = inf at a finite beta: s = beta
+        beta = b.as_float()
+        value = float(logsumexp2(np.log2(weights) + beta * c) / beta)
+    return value, _branch(a, b)
 
 
 # ---------------------------------------------------------------------------
 # divergence and entropy
 
 
-def renyi_divergence(p: Pmf, q: Pmf, order) -> MeasureResult:
-    """Order-alpha Renyi divergence D_alpha(p || q) in bits.
-
-    Generic orders use -log of the order-alpha fidelity, i.e.
-    (1/(alpha-1)) * log2 sum_x p^alpha q^(1-alpha); order 1 is the relative
-    entropy; order 0 is -log2 q(supp p); order inf is the sup log ratio.
-    Support violations (alpha > 1 or the tags) yield +inf, not an error.
-    """
-    if p.alphabet != q.alphabet:
-        raise AlphabetMismatch(f"{p.alphabet} vs {q.alphabet}")
-    a = ExtOrder.of(order)
-    pv, qv = p.probs, q.probs
+def _divergence(pv: np.ndarray, qv: np.ndarray, a: ExtOrder) -> MeasureResult:
+    """D_a(p || q) of two probability arrays of one shape; q may be
+    unnormalized."""
     pos_p = pv > 0.0
     if a.is_one:
         if np.any(pos_p & (qv == 0.0)):
@@ -126,6 +224,19 @@ def renyi_divergence(p: Pmf, q: Pmf, order) -> MeasureResult:
     return MeasureResult(logsumexp2(t) / (alpha - 1.0), BRANCH_GENERIC)
 
 
+def renyi_divergence(p: Pmf, q: Pmf, order) -> MeasureResult:
+    """Order-alpha Renyi divergence D_alpha(p || q) in bits.
+
+    Generic orders use -log of the order-alpha fidelity, i.e.
+    (1/(alpha-1)) * log2 sum_x p^alpha q^(1-alpha); order 1 is the relative
+    entropy; order 0 is -log2 q(supp p); order inf is the sup log ratio.
+    Support violations (alpha > 1 or the tags) yield +inf, not an error.
+    """
+    if p.alphabet != q.alphabet:
+        raise AlphabetMismatch(f"{p.alphabet} vs {q.alphabet}")
+    return _divergence(p.probs, q.probs, ExtOrder.of(order))
+
+
 def relative_entropy(p: Pmf, q: Pmf) -> float:
     """D(p || q) in bits (order-1 divergence)."""
     return renyi_divergence(p, q, 1).value
@@ -135,16 +246,13 @@ def cond_renyi_divergence(pyx: CondPmf, qyx: CondPmf, px: Pmf, order) -> Measure
     """Conditional divergence D_alpha(P_{Y|X} || Q_{Y|X} | P_X).
 
     Defined through the joints: D_alpha(P_X * P_{Y|X} || P_X * Q_{Y|X}),
-    both built with the dist layer and flattened.
+    both built with the dist layer and compared cell by cell.
     """
     if pyx.target_alphabet != qyx.target_alphabet or pyx.given_alphabet != qyx.given_alphabet:
         raise AlphabetMismatch("channel alphabets differ")
     jp = joint_from_channel(px, pyx)
     jq = joint_from_channel(px, qyx)
-    labels = tuple(f"{x}/{y}" for x in jp.alphabet_x for y in jp.alphabet_y)
-    fp = Pmf(labels, jp.probs.reshape(-1))
-    fq = Pmf(labels, jq.probs.reshape(-1))
-    return renyi_divergence(fp, fq, order)
+    return _divergence(jp.probs.ravel(), jq.probs.ravel(), ExtOrder.of(order))
 
 
 def shannon_entropy(p: Pmf | np.ndarray) -> float:
@@ -168,173 +276,87 @@ def renyi_entropy(p: Pmf, order) -> MeasureResult:
     if a.is_inf:
         return MeasureResult(float(-logp.max()), BRANCH_ALPHA_INF)
     alpha = a.as_float()
-    return MeasureResult(_power_sum_log(logp, alpha) / (1.0 - alpha), BRANCH_GENERIC)
+    return MeasureResult(logsumexp2(alpha * logp[np.isfinite(logp)]) / (1.0 - alpha), BRANCH_GENERIC)
 
 
 # ---------------------------------------------------------------------------
-# conditional-entropy variants
+# the classical variants
 
 
-def _rows_and_weights(joint: JointPmf):
-    """Positive-probability conditional rows of X given Y and their weights."""
-    py, pxy_rows = condition_on_y(joint)
-    idx = py.support
-    weights = py.probs[idx]
-    rows = [pxy_rows.row(int(j)) for j in idx]
-    return weights, rows
-
-
-def _entropy_rows(rows, order) -> np.ndarray:
-    return np.array([renyi_entropy(r, order).value for r in rows])
+# the beta at which each variant is a slice of the kernel
+_SLICE_BETA = {
+    "hbar": ExtOrder.zero(),
+    "ibar": ExtOrder.zero(),
+    "hstar": ExtOrder.finite(1.0, allow_one=True),
+    "istar": ExtOrder.finite(1.0, allow_one=True),
+    "hbarstar": ExtOrder.infinity(),
+    "ibarstar": ExtOrder.infinity(),
+}
 
 
 def shannon_cond_entropy(joint: JointPmf) -> float:
     """H(X|Y) in bits."""
-    weights, rows = _rows_and_weights(joint)
-    return float(np.sum(weights * np.array([shannon_entropy(r) for r in rows])))
+    p = joint.probs
+    pos = p > 0.0
+    py = np.broadcast_to(p.sum(axis=0), p.shape)
+    return float(np.sum(p[pos] * (np.log2(py[pos]) - np.log2(p[pos]))))
+
+
+def shannon_mi(joint: JointPmf) -> float:
+    """I(X:Y) in bits."""
+    p = joint.probs
+    pos = p > 0.0
+    ref = np.outer(p.sum(axis=1), p.sum(axis=0))
+    return float(np.sum(p[pos] * (np.log2(p[pos]) - np.log2(ref[pos]))))
+
+
+def _diagonal(joint: JointPmf, ref_x: np.ndarray, a: ExtOrder) -> MeasureResult:
+    """D_a(P_XY || ref_x x P_Y) of the flattened joint."""
+    return _divergence(joint.probs.ravel(), np.outer(ref_x, joint.probs.sum(axis=0)).ravel(), a)
 
 
 def cond_entropy_variant(variant: str, joint: JointPmf, order) -> MeasureResult:
     """One of the four conditional Renyi entropy variants, in bits.
 
     variant "h":        -D_alpha(P_XY || 1_X x P_Y), the row-power-sum average.
-    variant "hstar":    the minimum over reference Q_Y, evaluated by its
-                        alpha-norm closed form.
-    variant "hbar":     P_Y-average of the row entropies.
+    variant "hstar":    the maximum over reference Q_Y of -D_alpha(P_XY || 1_X x Q_Y),
+                        the kernel slice H~_{alpha,1}.
+    variant "hbar":     P_Y-average of the row entropies, H~_{alpha,0}.
     variant "hbarstar": worst-case row entropy (max for alpha < 1, min for
-                        alpha > 1, the Shannon average at alpha = 1), over
-                        rows with P_Y(y) > 0.
+                        alpha > 1), over rows with P_Y(y) > 0, H~_{alpha,inf}.
 
-    All variants agree with Shannon H(X|Y) at order 1 (hbarstar by its own
-    order-1 branch).
+    All variants are the Shannon H(X|Y) at order 1.
     """
     if variant not in H_VARIANTS:
         raise ValueError(f"variant must be one of {H_VARIANTS}, got {variant!r}")
     a = ExtOrder.of(order)
-    weights, rows = _rows_and_weights(joint)
-    logw = np.log2(weights)
-
     if a.is_one:
-        val = float(np.sum(weights * np.array([shannon_entropy(r) for r in rows])))
-        return MeasureResult(val, BRANCH_ALPHA_ONE)
-
-    if variant == "hbar":
-        hs = _entropy_rows(rows, a)
-        return MeasureResult(float(np.sum(weights * hs)), _tag_branch(a))
-
-    if variant == "hbarstar":
-        hs = _entropy_rows(rows, a)
-        if a.is_zero or (a.is_finite and a.as_float() < 1.0):
-            val = float(hs.max())
-        else:
-            val = float(hs.min())
-        return MeasureResult(val, _tag_branch(a))
-
+        return MeasureResult(shannon_cond_entropy(joint), BRANCH_ALPHA_ONE)
     if variant == "h":
-        if a.is_zero:
-            supc = np.array([len(r.support) for r in rows], dtype=float)
-            return MeasureResult(float(np.log2(np.sum(weights * supc))), BRANCH_ALPHA_ZERO)
-        if a.is_inf:
-            best = max(float(r.probs.max()) for r in rows)
-            return MeasureResult(-math.log2(best), BRANCH_ALPHA_INF)
-        alpha = a.as_float()
-        inner = np.array([_power_sum_log(log2_strict(r.probs), alpha) for r in rows])
-        return MeasureResult(logsumexp2(logw + inner) / (1.0 - alpha), BRANCH_GENERIC)
-
-    # hstar
-    if a.is_zero:
-        return MeasureResult(max(math.log2(len(r.support)) for r in rows), BRANCH_ALPHA_ZERO)
-    if a.is_inf:
-        val = -math.log2(float(np.sum(weights * np.array([r.probs.max() for r in rows]))))
-        return MeasureResult(val, BRANCH_ALPHA_INF)
-    alpha = a.as_float()
-    inner = np.array([_power_sum_log(log2_strict(r.probs), alpha) for r in rows])
-    val = alpha / (1.0 - alpha) * logsumexp2(logw + inner / alpha)
-    return MeasureResult(val, BRANCH_GENERIC)
-
-
-# ---------------------------------------------------------------------------
-# mutual-information variants
-
-
-def shannon_mi(joint: JointPmf) -> float:
-    """I(X:Y) in bits."""
-    px = marginal_x(joint).probs
-    pyv = joint.probs.sum(axis=0)
-    pos = joint.probs > 0.0
-    ref = np.outer(px, pyv)
-    j = joint.probs[pos]
-    return float(np.sum(j * (np.log2(j) - np.log2(ref[pos]))))
-
-
-def _row_divergences(joint: JointPmf, order) -> tuple[np.ndarray, np.ndarray]:
-    px = marginal_x(joint)
-    weights, rows = _rows_and_weights(joint)
-    divs = np.array([renyi_divergence(r, px, order).value for r in rows])
-    return weights, divs
+        d = _diagonal(joint, np.ones(joint.shape[0]), a)
+        return MeasureResult(-d.value, d.branch)
+    value, _ = _kernel(*_kernel_inputs(joint, mutual=False), a, _SLICE_BETA[variant])
+    return MeasureResult(0.0 - value, _tag_branch(a))
 
 
 def mutual_info_variant(variant: str, joint: JointPmf, order) -> MeasureResult:
     """One of the four order-alpha mutual-information variants, in bits.
 
     variant "i":        D_alpha(P_XY || P_X x P_Y).
-    variant "istar":    minimum over reference Q_Y, by its closed form
-                        (alpha/(alpha-1)) log2 sum_y (sum_x P_X P_{Y|X}^alpha)^(1/alpha).
-    variant "ibar":     P_Y-average of D_alpha(P_{X|y} || P_X).
+    variant "istar":    minimum over reference Q_Y of D_alpha(P_XY || P_X x Q_Y),
+                        the kernel slice I~_{alpha,1}.
+    variant "ibar":     P_Y-average of D_alpha(P_{X|y} || P_X), I~_{alpha,0}.
     variant "ibarstar": extreme row divergence (min for alpha < 1, max for
-                        alpha > 1, Shannon I at alpha = 1), over P_Y(y) > 0.
+                        alpha > 1) over P_Y(y) > 0, I~_{alpha,inf}.
+
+    All variants are the Shannon I(X:Y) at order 1.
     """
     if variant not in I_VARIANTS:
         raise ValueError(f"variant must be one of {I_VARIANTS}, got {variant!r}")
     a = ExtOrder.of(order)
-
     if a.is_one:
         return MeasureResult(shannon_mi(joint), BRANCH_ALPHA_ONE)
-
     if variant == "i":
-        px = marginal_x(joint).probs
-        pyv = joint.probs.sum(axis=0)
-        labels = tuple(f"{x}/{y}" for x in joint.alphabet_x for y in joint.alphabet_y)
-        p = Pmf(labels, joint.probs.reshape(-1))
-        q = Pmf(labels, np.outer(px, pyv).reshape(-1))
-        return renyi_divergence(p, q, a)
-
-    if variant == "ibar":
-        weights, divs = _row_divergences(joint, a)
-        return MeasureResult(float(np.sum(weights * divs)), _tag_branch(a))
-
-    if variant == "ibarstar":
-        weights, divs = _row_divergences(joint, a)
-        if a.is_zero or (a.is_finite and a.as_float() < 1.0):
-            val = float(divs.min())
-        else:
-            val = float(divs.max())
-        return MeasureResult(val, _tag_branch(a))
-
-    # istar
-    px = marginal_x(joint)
-    weights, rows = _rows_and_weights(joint)
-    logw = np.log2(weights)
-    logpx = log2_strict(px.probs)
-    if a.is_zero:
-        masses = np.array([float(px.probs[r.probs > 0.0].sum()) for r in rows])
-        top = float(masses.max())
-        val = INF if top == 0.0 else -math.log2(top)
-        return MeasureResult(val, BRANCH_ALPHA_ZERO)
-    if a.is_inf:
-        best = np.empty(len(rows))
-        for k, r in enumerate(rows):
-            m = px.probs > 0.0
-            best[k] = np.max(np.exp2(log2_strict(r.probs)[m] - logpx[m]))
-        return MeasureResult(float(np.log2(np.sum(weights * best))), BRANCH_ALPHA_INF)
-    alpha = a.as_float()
-    inner = np.empty(len(rows))
-    for k, r in enumerate(rows):
-        logr = log2_strict(r.probs)
-        sup_r = np.isfinite(logr)
-        if alpha > 1.0 and np.any(sup_r & ~np.isfinite(logpx)):
-            return MeasureResult(INF, BRANCH_GENERIC)
-        both = sup_r & np.isfinite(logpx)
-        inner[k] = logsumexp2((1.0 - alpha) * logpx[both] + alpha * logr[both])
-    val = alpha / (alpha - 1.0) * logsumexp2(logw + inner / alpha)
-    return MeasureResult(val, BRANCH_GENERIC)
+        return _diagonal(joint, joint.probs.sum(axis=1), a)
+    value, _ = _kernel(*_kernel_inputs(joint, mutual=True), a, _SLICE_BETA[variant])
+    return MeasureResult(value, _tag_branch(a))

@@ -17,12 +17,22 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dist import JointPmf, Pmf, joint_from_channel, marginal_x, marginal_y, product
+from .dist import (
+    CondPmf,
+    JointPmf,
+    Pmf,
+    condition_on_y,
+    joint_from_channel,
+    marginal_x,
+    marginal_y,
+    product,
+)
 from .measures import (
     cond_entropy_variant,
     mutual_info_variant,
     relative_entropy,
     renyi_divergence,
+    renyi_entropy,
     shannon_cond_entropy,
     shannon_mi,
 )
@@ -235,10 +245,34 @@ def check_nonneg(rng: np.random.Generator, samples: int) -> PropertyResult:
 # two-parameter structure
 
 
+def _sibson(p: np.ndarray, r: np.ndarray, a: float) -> float:
+    """D_a(P_XY || R x Q*) at Sibson's optimal reference Q* for a
+    distribution R on X: Q*(y) is proportional to
+    (sum_x R(x)^(1-a) P_XY(x,y)^a)^(1/a); at a = inf to the max over
+    supp P_XY(., y) of P_XY(x,y) / R(x); at a = 0 Q* is uniform on the y
+    that maximize R(supp P_XY(., y)). Evaluated on the flattened joint."""
+    on = p > 0.0
+    if a == 0.0:
+        mass = np.where(on, r[:, None], 0.0).sum(axis=0)
+        q = (mass == mass.max()).astype(np.float64)
+    elif math.isinf(a):
+        q = np.where(on, p / r[:, None], 0.0).max(axis=0)
+    else:
+        q = np.where(on, r[:, None] ** (1.0 - a) * p**a, 0.0).sum(axis=0) ** (1.0 / a)
+    labels = tuple(str(k) for k in range(p.size))
+    ref = np.outer(r, q / q.sum())
+    return renyi_divergence(Pmf(labels, p.ravel()), Pmf(labels, ref.ravel()), a).value
+
+
 def check_collapse(rng: np.random.Generator, samples: int) -> PropertyResult:
     """The two-parameter measures reduce to the four classical variants at
-    beta in {alpha, 0, 1, inf}.
+    beta in {alpha, 0, 1, inf}, each compared with a route that does not
+    go through the two-parameter kernel.
 
+    beta = alpha: the divergence forms "h" / "i". beta in {0, inf}: the
+    P_Y-average and the worst row of the per-row Renyi entropies and
+    divergences from P_X. beta = 1: Sibson's identity,
+    H* = log2|X| - D_a(P_XY || U_X x Q*) and I* = D_a(P_XY || P_X x Q*).
     The diagonal identity is checked for alpha in the grid plus {1, inf}
     but not at alpha = 0, where the (0,0) corner convention (beta-then-
     alpha limit) differs from the diagonal limit by design.
@@ -255,18 +289,27 @@ def check_collapse(rng: np.random.Generator, samples: int) -> PropertyResult:
                   {"identity": "h~(a,a)=h", "alpha": a, **payload})
             t.see(abs(i_tilde(j, (a, a)).value - mutual_info_variant("i", j, a).value),
                   {"identity": "i~(a,a)=i", "alpha": a, **payload})
+        py, cond = condition_on_y(j)
+        weights = py.probs[py.support]
+        rows = [cond.row(int(k)) for k in py.support]
+        px = marginal_x(j)
+        uniform = np.full(nx, 1.0 / nx)
         for a in off_alphas:
-            for b, variant_h, variant_i in (
-                (0.0, "hbar", "ibar"),
-                (1.0, "hstar", "istar"),
-                (math.inf, "hbarstar", "ibarstar"),
+            hs = np.array([renyi_entropy(row, a).value for row in rows])
+            ds = np.array([renyi_divergence(row, px, a).value for row in rows])
+            for b, name_h, want_h, name_i, want_i in (
+                (0.0, "hbar", float(np.sum(weights * hs)), "ibar", float(np.sum(weights * ds))),
+                (1.0, "hstar", math.log2(nx) - _sibson(j.probs, uniform, a),
+                 "istar", _sibson(j.probs, px.probs, a)),
+                (math.inf, "hbarstar", float(hs.max() if a < 1.0 else hs.min()),
+                 "ibarstar", float(ds.min() if a < 1.0 else ds.max())),
             ):
                 if a == 1.0 and math.isinf(b):
                     continue
-                t.see(abs(h_tilde(j, (a, b)).value - cond_entropy_variant(variant_h, j, a).value),
-                      {"identity": f"h~(a,{b})={variant_h}", "alpha": a, **payload})
-                t.see(abs(i_tilde(j, (a, b)).value - mutual_info_variant(variant_i, j, a).value),
-                      {"identity": f"i~(a,{b})={variant_i}", "alpha": a, **payload})
+                t.see(abs(h_tilde(j, (a, b)).value - want_h),
+                      {"identity": f"h~(a,{b})={name_h}", "alpha": a, **payload})
+                t.see(abs(i_tilde(j, (a, b)).value - want_i),
+                      {"identity": f"i~(a,{b})={name_i}", "alpha": a, **payload})
     return t.result()
 
 
@@ -431,8 +474,6 @@ def check_convexity_channel(rng: np.random.Generator, samples: int) -> PropertyR
         px = random_pmf(rng, nx)
         w1, w2 = random_channel(rng, nx, ny), random_channel(rng, nx, ny)
         mid_m = (w1.matrix() + w2.matrix()) / 2.0
-        from .dist import CondPmf
-
         wm = CondPmf.from_matrix(w1.given_alphabet, w1.target_alphabet, mid_m)
         for a in (0.25, 0.5, 1.0):
             for b in (0.25, 0.5, 1.0):

@@ -1,4 +1,5 @@
-"""Two-parameter conditional entropy and mutual information.
+"""Two-parameter conditional entropy and mutual information: the (alpha, beta)
+front end of the reference-weighted kernel in :mod:`renyinfo.measures`.
 
 The conditional entropy of order pair (alpha, beta), for alpha in
 (0,1)u(1,inf) and beta in (0,inf), is
@@ -11,15 +12,21 @@ and the mutual information of order pair (alpha, beta) is
     (alpha / (beta (alpha - 1))) *
         log2 sum_y P_Y(y) ( sum_x P_X(x)^(1-alpha) P_{X|Y}(x|y)^alpha )^(beta/alpha).
 
-Every limit point of the extended square [0, inf]^2 is its own code
-branch; order tags select the closed forms, so no removable singularity
-is ever approached numerically. Inner sums iterate over exact supports
+Both are the one kernel K_{alpha,beta}(r) of :mod:`renyinfo.measures`:
+the mutual information with reference r = P_X, and the conditional entropy
+negated with r = 1_X, i.e. P_X replaced by the all-ones vector. Every limit
+point of the extended square [0, inf]^2 is its own kernel branch; order
+tags select the closed forms, so no removable singularity is ever
+approached numerically. Inner sums iterate over exact supports
 (0/0 = 0), and a/0 = inf propagates as a +inf result value.
 
-The corner (alpha, beta) = (0, 0) is genuinely path dependent; the value
+This module parses the order pair and applies the order-pair policy. The
+corner (alpha, beta) = (0, 0) is genuinely path dependent; the value
 returned is the beta-to-0-then-alpha-to-0 iterated limit and the result
 carries a warning (strict mode raises instead). The pair (1, inf) is left
-undefined by the theory and always raises.
+undefined by the theory and always raises. The curves evaluate the generic
+branch on a vector of alphas at one beta, by the same code path as a
+single generic point.
 """
 
 from __future__ import annotations
@@ -30,16 +37,9 @@ from typing import Optional
 
 import numpy as np
 
-from .dist import JointPmf, condition_on_y, marginal_x
+from .dist import JointPmf
 from .errors import UndefinedCorner
-from .measures import (
-    cond_entropy_variant,
-    log2_strict,
-    logsumexp2,
-    mutual_info_variant,
-    shannon_cond_entropy,
-    shannon_mi,
-)
+from .measures import _generic, _kernel, _kernel_inputs
 from .orders import OrderPair
 
 INF = math.inf
@@ -68,19 +68,6 @@ def _as_pair(order) -> OrderPair:
     raise TypeError("order must be an OrderPair or an (alpha, beta) tuple")
 
 
-def _positive_rows(joint: JointPmf):
-    """Weights and log-conditional matrix over the positive-mass Y symbols.
-
-    Returns (weights (m,), logrows (nx, m)): column j of logrows is
-    log2 P_{X|Y}(. | y_j) with -inf at exact zeros.
-    """
-    py, cond = condition_on_y(joint)
-    idx = py.support
-    weights = py.probs[idx]
-    logrows = np.stack([log2_strict(cond.row(int(j)).probs) for j in idx], axis=1)
-    return weights, logrows
-
-
 def _check_pair(pair: OrderPair, strict_corner: bool) -> Optional[str]:
     if pair.alpha.is_one and pair.beta.is_inf:
         raise UndefinedCorner("the (1, inf) order pair has no defined value")
@@ -91,8 +78,21 @@ def _check_pair(pair: OrderPair, strict_corner: bool) -> Optional[str]:
     return None
 
 
-# ---------------------------------------------------------------------------
-# conditional entropy
+def _measure(joint: JointPmf, order, strict_corner: bool, mutual: bool) -> TwoParamResult:
+    pair = _as_pair(order)
+    warning = _check_pair(pair, strict_corner)
+    value, branch = _kernel(*_kernel_inputs(joint, mutual), pair.alpha, pair.beta)
+    return TwoParamResult(value if mutual else 0.0 - value, branch, pair, warning)
+
+
+def _curve(joint: JointPmf, alphas: np.ndarray, beta: float, mutual: bool) -> np.ndarray:
+    alphas = np.asarray(alphas, dtype=np.float64)
+    if np.any(alphas <= 0.0) or np.any(alphas == 1.0) or not np.all(np.isfinite(alphas)):
+        raise ValueError("alphas must be finite, positive, and != 1")
+    if not (0.0 < beta < INF):
+        raise ValueError("beta must be finite positive")
+    values = _generic(*_kernel_inputs(joint, mutual), alphas, beta)
+    return values if mutual else -values
 
 
 def h_tilde(joint: JointPmf, order, *, strict_corner: bool = False) -> TwoParamResult:
@@ -102,49 +102,15 @@ def h_tilde(joint: JointPmf, order, *, strict_corner: bool = False) -> TwoParamR
     select the limit branches listed in the module docstring. See
     :data:`CORNER_WARNING` for the (0, 0) convention.
     """
-    pair = _as_pair(order)
-    warning = _check_pair(pair, strict_corner)
-    a, b = pair.alpha, pair.beta
+    return _measure(joint, order, strict_corner, mutual=False)
 
-    weights, logrows = _positive_rows(joint)
-    logw = np.log2(weights)
-    supp_sizes = np.isfinite(logrows).sum(axis=0)
 
-    if pair.is_corner:
-        val = float(np.sum(weights * np.log2(supp_sizes)))
-        return TwoParamResult(val, "corner_zero_zero", pair, warning)
+def i_tilde(joint: JointPmf, order, *, strict_corner: bool = False) -> TwoParamResult:
+    """Two-parameter mutual information between X and Y, in bits.
 
-    if a.is_one:
-        return TwoParamResult(shannon_cond_entropy(joint), "alpha_one", pair)
-
-    if a.is_zero:
-        if b.is_zero:
-            raise AssertionError("corner handled above")
-        val = float(np.log2(supp_sizes.max()))
-        return TwoParamResult(val, "alpha_zero", pair)
-
-    if a.is_inf:
-        row_max = np.exp2(logrows.max(axis=0))
-        if b.is_zero:
-            val = float(-np.sum(weights * np.log2(row_max)))
-            return TwoParamResult(val, "alpha_inf_beta_zero", pair)
-        if b.is_inf:
-            val = float(-np.log2(row_max.max()))
-            return TwoParamResult(val, "alpha_inf_beta_inf", pair)
-        beta = b.as_float()
-        val = float(-logsumexp2(logw + beta * np.log2(row_max)) / beta)
-        return TwoParamResult(val, "alpha_inf", pair)
-
-    alpha = a.as_float()
-    if b.is_zero:
-        val = cond_entropy_variant("hbar", joint, a).value
-        return TwoParamResult(val, "beta_zero", pair)
-    if b.is_inf:
-        val = cond_entropy_variant("hbarstar", joint, a).value
-        return TwoParamResult(val, "beta_inf", pair)
-    beta = b.as_float()
-    val = float(h_tilde_curve(joint, np.array([alpha]), beta)[0])
-    return TwoParamResult(val, "generic", pair)
+    Mirrors :func:`h_tilde` with P_X as the reference.
+    """
+    return _measure(joint, order, strict_corner, mutual=True)
 
 
 def h_tilde_curve(joint: JointPmf, alphas: np.ndarray, beta: float) -> np.ndarray:
@@ -153,114 +119,9 @@ def h_tilde_curve(joint: JointPmf, alphas: np.ndarray, beta: float) -> np.ndarra
     Vectorized over alpha for the exponent maximizers; every alpha must lie
     in (0,1)u(1,inf) and beta in (0,inf).
     """
-    alphas = np.asarray(alphas, dtype=np.float64)
-    if np.any(alphas <= 0.0) or np.any(alphas == 1.0) or not np.all(np.isfinite(alphas)):
-        raise ValueError("alphas must be finite, positive, and != 1")
-    if not (0.0 < beta < INF):
-        raise ValueError("beta must be finite positive")
-    weights, logrows = _positive_rows(joint)
-    logw = np.log2(weights)
-    t = alphas[:, None, None] * logrows[None, :, :]
-    inner = logsumexp2(t, axis=1)  # (k, m)
-    terms = logw[None, :] + (beta / alphas)[:, None] * inner
-    outer = logsumexp2(terms, axis=1)
-    return alphas / (beta * (1.0 - alphas)) * outer
-
-
-# ---------------------------------------------------------------------------
-# mutual information
-
-
-def i_tilde(joint: JointPmf, order, *, strict_corner: bool = False) -> TwoParamResult:
-    """Two-parameter mutual information between X and Y, in bits.
-
-    Mirrors :func:`h_tilde`; with alpha > 1 a conditional row putting mass
-    where P_X does not would make the value +inf (a/0 = inf). That cannot
-    happen when P_X is the joint's own marginal, but the convention is
-    implemented for completeness.
-    """
-    pair = _as_pair(order)
-    warning = _check_pair(pair, strict_corner)
-    a, b = pair.alpha, pair.beta
-
-    px = marginal_x(joint)
-    logpx = log2_strict(px.probs)
-    weights, logrows = _positive_rows(joint)
-    logw = np.log2(weights)
-    row_finite = np.isfinite(logrows)
-
-    def row_masses() -> np.ndarray:
-        # P_X mass of each conditional row's support
-        return np.array(
-            [float(px.probs[row_finite[:, j]].sum()) for j in range(logrows.shape[1])]
-        )
-
-    if pair.is_corner:
-        val = float(-np.sum(weights * np.log2(row_masses())))
-        return TwoParamResult(val, "corner_zero_zero", pair, warning)
-
-    if a.is_one:
-        return TwoParamResult(shannon_mi(joint), "alpha_one", pair)
-
-    if a.is_zero:
-        val = float(-np.log2(row_masses().max()))
-        return TwoParamResult(val, "alpha_zero", pair)
-
-    if a.is_inf:
-        with np.errstate(invalid="ignore"):
-            log_ratio = np.where(row_finite, logrows - logpx[:, None], -INF)
-        best = log_ratio.max(axis=0)
-        if b.is_zero:
-            val = float(np.sum(weights * best))
-            return TwoParamResult(val, "alpha_inf_beta_zero", pair)
-        if b.is_inf:
-            val = float(best.max())
-            return TwoParamResult(val, "alpha_inf_beta_inf", pair)
-        beta = b.as_float()
-        val = float(logsumexp2(logw + beta * best) / beta)
-        return TwoParamResult(val, "alpha_inf", pair)
-
-    alpha = a.as_float()
-    if b.is_zero:
-        val = mutual_info_variant("ibar", joint, a).value
-        return TwoParamResult(val, "beta_zero", pair)
-    if b.is_inf:
-        val = mutual_info_variant("ibarstar", joint, a).value
-        return TwoParamResult(val, "beta_inf", pair)
-    beta = b.as_float()
-    val = float(i_tilde_curve(joint, np.array([alpha]), beta)[0])
-    return TwoParamResult(val, "generic", pair)
+    return _curve(joint, alphas, beta, mutual=False)
 
 
 def i_tilde_curve(joint: JointPmf, alphas: np.ndarray, beta: float) -> np.ndarray:
     """Generic-branch mutual-information values for a vector of finite alphas."""
-    alphas = np.asarray(alphas, dtype=np.float64)
-    if np.any(alphas <= 0.0) or np.any(alphas == 1.0) or not np.all(np.isfinite(alphas)):
-        raise ValueError("alphas must be finite, positive, and != 1")
-    if not (0.0 < beta < INF):
-        raise ValueError("beta must be finite positive")
-    px = marginal_x(joint)
-    logpx = log2_strict(px.probs)
-    weights, logrows = _positive_rows(joint)
-    logw = np.log2(weights)
-    row_finite = np.isfinite(logrows)
-
-    # Support courtesy of the joint: a positive conditional row entry implies
-    # positive marginal mass, so cells with finite logrows have finite logpx.
-    if np.any(row_finite & ~np.isfinite(logpx)[:, None]):
-        out = np.where(alphas > 1.0, INF, np.nan)
-        if np.any(alphas < 1.0):
-            raise ValueError("conditional support exceeds reference support")
-        return out
-
-    lp = np.where(np.isfinite(logpx), logpx, 0.0)[None, :, None]
-    lr = np.where(row_finite, logrows, 0.0)[None, :, :]
-    t = np.where(
-        row_finite[None, :, :],
-        (1.0 - alphas)[:, None, None] * lp + alphas[:, None, None] * lr,
-        -INF,
-    )
-    inner = logsumexp2(t, axis=1)  # (k, m)
-    terms = logw[None, :] + (beta / alphas)[:, None] * inner
-    outer = logsumexp2(terms, axis=1)
-    return alphas / (beta * (alphas - 1.0)) * outer
+    return _curve(joint, alphas, beta, mutual=True)

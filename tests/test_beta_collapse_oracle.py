@@ -1,10 +1,14 @@
-"""The beta in {0, inf} collapse identities against a plain-Python oracle.
+"""The eight classical variants and the collapse identities against a
+plain-Python oracle.
 
-h_tilde and i_tilde reach their beta = 0 and beta = inf branches through
-the bar variants of ``renyinfo.measures``, so comparing the two inside the
-library checks a function against itself. The oracle below recomputes the
-four bar variants row by row with ``math.log2`` loops and nothing from
-``renyinfo.measures``.
+Every variant except "h" and "i" is a slice of the one kernel behind
+h_tilde and i_tilde, so comparing the two inside the library checks a
+function against itself. The oracle below recomputes all eight variants
+with ``math.log2`` loops and nothing from ``renyinfo.measures``: the bar
+variants row by row, "h" and "i" as divergences of the flattened joint,
+and hstar / istar by the closed form of the minimum over the reference
+Q_Y. Both the variants and h_tilde / i_tilde at beta in {alpha, 0, 1, inf}
+are checked against it.
 """
 
 import math
@@ -13,6 +17,7 @@ import numpy as np
 import pytest
 
 from renyinfo.dist import JointPmf
+from renyinfo.measures import cond_entropy_variant, mutual_info_variant
 from renyinfo.sampling import random_joint, random_joint_with_zeros
 from renyinfo.two_param import h_tilde, i_tilde
 
@@ -71,6 +76,52 @@ def ibarstar(p, a):
     return min(divs) if a < 1.0 else max(divs)
 
 
+def _flat(p, ref_x):
+    """The cells of P_XY and of ref_x x P_Y, flattened alike."""
+    py = [math.fsum(col) for col in zip(*p)]
+    cells = [v for row in p for v in row]
+    ref = [q * w for q in ref_x for w in py]
+    return cells, ref
+
+
+def _px(p):
+    return [math.fsum(r) for r in p]
+
+
+def h(p, a):
+    return -_renyi_div(*_flat(p, [1.0] * len(p)), a)
+
+
+def i(p, a):
+    return _renyi_div(*_flat(p, _px(p)), a)
+
+
+def _min_over_reference(p, ref_x, a):
+    """min over Q_Y of D_a(P_XY || ref_x x Q_Y), by its closed form."""
+    cols = [[(v, q) for v, q in zip(col, ref_x) if v > 0.0] for col in zip(*p)]
+    cols = [c for c in cols if c]
+    if a == 0.0:
+        return -math.log2(max(math.fsum(q for _, q in c) for c in cols))
+    if a == 1.0:  # the minimizer is P_Y
+        return _renyi_div(*_flat(p, ref_x), a)
+    if a == INF:
+        return math.log2(math.fsum(max(v / q for v, q in c) for c in cols))
+    norms = [math.fsum(q ** (1.0 - a) * v**a for v, q in c) ** (1.0 / a) for c in cols]
+    return a / (a - 1.0) * math.log2(math.fsum(norms))
+
+
+def hstar(p, a):
+    return -_min_over_reference(p, [1.0] * len(p), a)
+
+
+def istar(p, a):
+    return _min_over_reference(p, _px(p), a)
+
+
+ORACLES = {"h": h, "hstar": hstar, "hbar": hbar, "hbarstar": hbarstar,
+           "i": i, "istar": istar, "ibar": ibar, "ibarstar": ibarstar}
+
+
 def _joints():
     rng = np.random.default_rng(20251103)
     out = [random_joint(rng, int(rng.integers(2, 6)), int(rng.integers(2, 6))) for _ in range(8)]
@@ -82,7 +133,14 @@ def _joints():
     return out
 
 
-@pytest.mark.parametrize("joint", _joints(), ids=lambda j: f"{j.shape[0]}x{j.shape[1]}")
+JOINTS = _joints()
+
+
+def _ids(j):
+    return f"{j.shape[0]}x{j.shape[1]}"
+
+
+@pytest.mark.parametrize("joint", JOINTS, ids=_ids)
 def test_beta_zero_and_inf_match_row_oracle(joint):
     p = joint.probs.tolist()
     for a in EXT_ALPHAS:
@@ -93,3 +151,27 @@ def test_beta_zero_and_inf_match_row_oracle(joint):
             got = measure(joint, (a, b)).value
             want = oracle(p, a)
             assert abs(got - want) <= TOL, (measure.__name__, a, b, got, want)
+
+
+@pytest.mark.parametrize("joint", JOINTS, ids=_ids)
+def test_beta_alpha_and_one_match_oracle(joint):
+    p = joint.probs.tolist()
+    for a in EXT_ALPHAS:
+        cases = [(1.0, h_tilde, hstar), (1.0, i_tilde, istar)]
+        if a != 0.0:  # the (0, 0) corner is the beta-then-alpha limit, not the diagonal one
+            cases += [(a, h_tilde, h), (a, i_tilde, i)]
+        for b, measure, oracle in cases:
+            got = measure(joint, (a, b)).value
+            want = oracle(p, a)
+            assert abs(got - want) <= TOL, (measure.__name__, a, b, got, want)
+
+
+@pytest.mark.parametrize("joint", JOINTS, ids=_ids)
+def test_variants_match_oracle(joint):
+    p = joint.probs.tolist()
+    for a in EXT_ALPHAS:
+        for variant, oracle in ORACLES.items():
+            fn = cond_entropy_variant if variant.startswith("h") else mutual_info_variant
+            got = fn(variant, joint, a).value
+            want = oracle(p, a)
+            assert abs(got - want) <= TOL, (variant, a, got, want)

@@ -5,7 +5,6 @@ import pytest
 
 from renyinfo.dist import JointPmf, Pmf, marginal_y
 from renyinfo.exponents import (
-    ExponentConfig,
     Rate,
     golden_section_max,
     one_shot_pa_lower_bound,
@@ -87,14 +86,6 @@ class TestPaExponent:
         res = pa_exponent(j, 0.5, h + 0.5)
         g1, g2 = pa_dual_exponent(j, 0.5, h + 0.5, SOLVER)
         assert abs(res.value - min(g1.minimum, g2.minimum)) <= 1e-3
-
-    def test_with_dual_fills_result(self, rng):
-        j = random_joint(rng, 2, 2)
-        cfg = ExponentConfig(with_dual=True, solver=SOLVER)
-        res = pa_exponent(j, 0.3, 0.8, cfg)
-        assert res.dual_value is not None
-        assert abs(res.value - res.dual_value) <= 1e-3
-        assert res.dual_argmin is not None
 
 
 class TestPaDual:

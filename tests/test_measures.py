@@ -128,9 +128,10 @@ class TestCondEntropyVariants:
 
     def test_hstar_equals_two_param_at_beta_one(self, rng):
         j = random_joint(rng, 2, 2)
-        got = cond_entropy_variant("hstar", j, 2).value
-        want = h_tilde(j, (2.0, 1.0)).value
-        assert got == pytest.approx(want, abs=1e-12)
+        # closed form at order 2: -2 log2 sum_y (sum_x P(x, y)^2)^(1/2)
+        want = -2.0 * math.log2(sum(math.sqrt(sum(v * v for v in col)) for col in j.probs.T))
+        assert cond_entropy_variant("hstar", j, 2).value == pytest.approx(want, abs=1e-12)
+        assert h_tilde(j, (2.0, 1.0)).value == pytest.approx(want, abs=1e-12)
 
     def test_shannon_agreement_at_order_one(self, rng):
         j = random_joint(rng, 3, 4)
@@ -157,9 +158,12 @@ class TestMutualInfoVariants:
 
     def test_istar_equals_two_param_at_beta_one(self, rng):
         j = random_joint(rng, 3, 3)
-        got = mutual_info_variant("istar", j, 0.5).value
-        want = i_tilde(j, (0.5, 1.0)).value
-        assert got == pytest.approx(want, abs=1e-12)
+        # closed form at order 1/2: -log2 sum_y (sum_x sqrt(P_X(x) P(x, y)))^2
+        px = j.probs.sum(axis=1)
+        want = -math.log2(sum(sum(math.sqrt(q * v) for q, v in zip(px, col)) ** 2
+                              for col in j.probs.T))
+        assert mutual_info_variant("istar", j, 0.5).value == pytest.approx(want, abs=1e-12)
+        assert i_tilde(j, (0.5, 1.0)).value == pytest.approx(want, abs=1e-12)
 
     def test_shannon_agreement_at_order_one(self, rng):
         j = random_joint(rng, 3, 4)
