@@ -18,37 +18,47 @@ Dual forms (beta < 1): minimizations over auxiliary joints Q of
     SC:  D(Q_Y||P_Y) + (beta/(1-beta)) D(Q_XY||P_XY)
          + |D(Q_{X|Y}||P_X|Q_Y) - R|+
 
-Both are clipped combinations of the relative-entropy terms that
-:mod:`renyinfo.simplex_opt` computes for the variational objectives, and
-both run on its single grid + mirror-descent driver; the PA form takes the
-driver's evaluated points and splits them into the pieces G1 (where
-H(X|Y)_Q > R) and G2. The clipped terms are convex nonsmooth addends with
-subgradient 0 inside the clip. The dual route shares no code with the
-primal one: it never calls the two-parameter measures. Rates are in bits.
+Both are clipped combinations, base + |l|+, of the relative-entropy terms
+that :mod:`renyinfo.simplex_opt` computes for the variational objectives.
+They are solved through their Lagrangian: base + |l|+ is the max over
+lambda in [0, 1] of F_lambda = base + lambda l, every F_lambda is convex and
+minimized in closed form by a tilted joint Q_lambda, and a 1-D search over
+lambda (of its own; it never borrows the primal alpha*) maximizes the
+certified lower bounds F_lambda(Q_lambda) - gap_lambda(Q_lambda) while the
+values F(Q_lambda) give the upper bound. An interval wider than
+simplex_opt.CERT_TOL falls back to the grid + mirror-descent driver seeded
+with the best Q_lambda, which can only lower the upper bound. The PA form
+splits the evaluated points into the pieces G1 (where H(X|Y)_Q > R) and G2.
+The dual route shares no code with the primal one: it never calls the
+two-parameter measures. Rates are in bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .dist import JointPmf
 from .measures import cond_entropy_variant, mutual_info_variant
 from .simplex_opt import (
+    CERT_TOL,
     DEFAULT_CONFIG,
     OptReport,
     SimplexObjective,
     SolverConfig,
-    _Terms,
+    _face,
+    _gap,
     _joint_logs,
-    _lipschitz_surrogate,
+    _lower_bound,
     _report,
+    _Run,
     _scatter,
     _solve,
-    minimize_over_joint,
+    _Terms,
+    _tilt,
 )
 from .two_param import h_tilde, h_tilde_curve, i_tilde_curve
 
@@ -56,6 +66,8 @@ INF = math.inf
 
 BRANCH_LT1 = "beta_lt_1"
 BRANCH_GE1 = "beta_ge_1"
+LAMBDA_TOL = 1e-9
+FALSI_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -109,6 +121,28 @@ def golden_section_max(f: Callable[[float], float], lo: float, hi: float, tol: f
             fd = f(d)
     x = (a + b) / 2.0
     return x, f(x)
+
+
+def _falsi_root(f: Callable[[float], float], a: float, b: float, fa: float, fb: float,
+                tol: float) -> None:
+    """Shrink [a, b] around the root of a decreasing f with fa > 0 > fb to
+    width tol by Illinois regula falsi (the retained end's value is halved
+    when the same end moves twice, so both ends converge), in at most
+    FALSI_STEPS evaluations."""
+    side = 0
+    for _ in range(FALSI_STEPS):
+        if b - a <= tol:
+            return
+        c = min(max((a * fb - b * fa) / (fb - fa), a), b)
+        fc = f(c)
+        if fc > 0.0:
+            a, fa = c, fc
+            fb, side = (fb / 2.0 if side > 0 else fb), 1
+        elif fc < 0.0:
+            b, fb = c, fc
+            fa, side = (fa / 2.0 if side < 0 else fa), -1
+        else:
+            return
 
 
 def _maximize_over_alpha(
@@ -172,50 +206,29 @@ def pa_dual_exponent(
     G1 minimizes the divergence base over {Q : H(X|Y)_Q > R}; G2 adds the
     R - H(X|Y)_Q excess over the complement. Their minimum equals the
     unconstrained minimum of base + |R - H(X|Y)_Q|+, which is what the
-    mirror-descent stage certifies; the individual pieces are the best
-    values among all evaluated points (grid, refinement ends, argmin)
-    classified by the constraint. An infeasible piece (no evaluated point
+    Lagrangian search certifies; the individual pieces are the best
+    values among all evaluated points (the tilts Q_lambda, and the grid,
+    refinement ends and best point on fallback) classified by the
+    constraint, and both feasible pieces carry the certified width of
+    min(G1, G2) as their gap. An infeasible piece (no evaluated point
     satisfies its constraint, e.g. G1 when R >= log|X|) reports
     minimum = +inf with argmin = None.
     """
-    beta = float(beta)
-    if not (0.0 < beta < 1.0):
-        raise ValueError("dual form requires beta in (0, 1)")
-    r = rate.bits if isinstance(rate, Rate) else Rate(float(rate)).bits
-    logs = _joint_logs(joint)
-    w = beta / (1.0 - beta)
-
-    def batch(q: np.ndarray) -> np.ndarray:
-        t = _Terms(q, logs)
-        return t.dy + w * t.dqp + np.maximum(r - t.h, 0.0)
-
-    def grad(q: np.ndarray) -> np.ndarray:
-        t = _Terms(q, logs)
-        active = (r - t.h) > 0.0
-        return t.g_dy + w * t.g_dqp - np.where(active[..., None, None], t.g_h, 0.0)
-
-    obj = SimplexObjective(joint.shape, batch, grad, logs.mask)
-    run = _solve(obj, logs.mask, cfg or DEFAULT_CONFIG, joint.probs[logs.mask][None, :])
-
-    candidates = np.concatenate([run.coords, run.ends, run.best_pt[None, :]], axis=0)
-    t = _Terms(_scatter(candidates, run.mask), logs)
-    base_c, h_c = t.dy + w * t.dqp, t.h
+    dual = _Dual(joint, beta, rate, True)
+    sol = _dual_solve(dual, cfg)
+    base, h, r = dual.base(sol.terms), sol.terms.h, dual.r
+    gap = _gap(float(np.min(dual.value(sol.terms))), sol.lower)
     labels = (joint.alphabet_x, joint.alphabet_y)
 
-    def piece_report(sel: np.ndarray, values: np.ndarray, contains_refined: bool) -> OptReport:
+    def piece_report(sel: np.ndarray, values: np.ndarray) -> OptReport:
         if not sel.any():
-            return _report(run, INF, None, "infeasible", INF, labels)
-        idx = np.flatnonzero(sel)
-        jbest = idx[int(np.argmin(values[sel]))]
-        delta = run.final_step if contains_refined else run.resolution
-        lip = _lipschitz_surrogate(obj, candidates[jbest][None, :], run.mask)
-        method = "grid+refine" if contains_refined else "grid"
-        return _report(run, float(values[jbest]), candidates[jbest], method, lip * delta, labels)
+            return _report(dual.mask, sol.run, INF, None, "infeasible", INF, labels)
+        jbest = int(np.flatnonzero(sel)[int(np.argmin(values[sel]))])
+        return _report(dual.mask, sol.run, float(values[jbest]), sol.pts[jbest], sol.method,
+                       gap, labels)
 
-    in_g1 = h_c > r
-    refined_in_g1 = bool(h_c[-1] > r)
-    return (piece_report(in_g1, base_c, refined_in_g1),
-            piece_report(~in_g1, base_c + (r - h_c), not refined_in_g1))
+    in_g1 = h > r
+    return piece_report(in_g1, base), piece_report(~in_g1, base + (r - h))
 
 
 # ---------------------------------------------------------------------------
@@ -250,29 +263,123 @@ def sc_dual_exponent(
     """Dual form of the SC exponent for beta in (0, 1): the minimum over Q
     of base(Q) + |D(Q_{X|Y} || P_X | Q_Y) - R|+ with P_X the joint's own
     X marginal."""
-    beta = float(beta)
-    if not (0.0 < beta < 1.0):
-        raise ValueError("dual form requires beta in (0, 1)")
-    r = rate.bits if isinstance(rate, Rate) else Rate(float(rate)).bits
-    logs = _joint_logs(joint)
-    w = beta / (1.0 - beta)
+    dual = _Dual(joint, beta, rate, False)
+    sol = _dual_solve(dual, cfg)
+    vals = dual.value(sol.terms)
+    j = int(np.argmin(vals))
+    return _report(dual.mask, sol.run, float(vals[j]), sol.pts[j], sol.method,
+                   _gap(float(vals[j]), sol.lower), (joint.alphabet_x, joint.alphabet_y))
 
-    def batch(q: np.ndarray) -> np.ndarray:
-        t = _Terms(q, logs)
-        return t.dy + w * t.dqp + np.maximum(t.dxc - r, 0.0)
 
-    def grad(q: np.ndarray) -> np.ndarray:
-        t = _Terms(q, logs)
-        active = (t.dxc - r) > 0.0
-        return t.g_dy + w * t.g_dqp + np.where(active[..., None, None], t.g_dxc, 0.0)
+# ---------------------------------------------------------------------------
+# the dual forms and their Lagrangian search
 
-    obj = SimplexObjective(joint.shape, batch, grad, logs.mask)
-    return minimize_over_joint(
-        obj,
-        cfg=cfg,
-        labels=(joint.alphabet_x, joint.alphabet_y),
-        extra_starts=[joint.probs],
-    )
+
+class _Dual:
+    """One dual problem: minimize base + |l|+ over Q, where
+    base = D(Q_Y||P_Y) + w D(Q_XY||P_XY) with w = beta/(1-beta), and
+    l = R - H(X|Y)_Q (PA) or l = D(Q_{X|Y}||P_X|Q_Y) - R (SC)."""
+
+    def __init__(self, joint: JointPmf, beta: float, rate, pa: bool):
+        beta = float(beta)
+        if not (0.0 < beta < 1.0):
+            raise ValueError("dual form requires beta in (0, 1)")
+        self.r = rate.bits if isinstance(rate, Rate) else Rate(float(rate)).bits
+        self.shape, self.pa = joint.shape, pa
+        self.logs = _joint_logs(joint)
+        self.mask = _face(joint.shape, self.logs.mask)
+        self.w = beta / (1.0 - beta)
+
+    def base(self, t: _Terms) -> np.ndarray:
+        return t.dy + self.w * t.dqp
+
+    def g_base(self, t: _Terms) -> np.ndarray:
+        return t.g_dy + self.w * t.g_dqp
+
+    def ell(self, t: _Terms) -> np.ndarray:
+        return self.r - t.h if self.pa else t.dxc - self.r
+
+    def g_ell(self, t: _Terms) -> np.ndarray:
+        return -t.g_h if self.pa else t.g_dxc
+
+    def value(self, t: _Terms) -> np.ndarray:
+        return self.base(t) + np.maximum(self.ell(t), 0.0)
+
+    def objective(self) -> SimplexObjective:
+        def batch(q: np.ndarray) -> np.ndarray:
+            return self.value(_Terms(q, self.logs))
+
+        def grad(q: np.ndarray) -> np.ndarray:
+            t = _Terms(q, self.logs)
+            active = self.ell(t) > 0.0
+            return self.g_base(t) + np.where(active[..., None, None], self.g_ell(t), 0.0)
+
+        return SimplexObjective(self.shape, batch, grad, self.mask)
+
+    def lagrangian_tilt(self, lam: float) -> np.ndarray:
+        """The minimizer of base + lam * l (masked coordinates):
+        Q(x,y) ∝ Q_Y(y) t(x,y) / S_y with S_y = Σ_x t(x,y),
+        Q_Y ∝ (P_Y S_y^(w+lam))^(1/(1+w)), and t = P^(w/(w+lam)) (PA) or
+        t = (P^w P_X^lam)^(1/(w+lam)) (SC). At lam = 0 it is P."""
+        w, logs = self.w, self.logs
+        log_t = (w * logs.logp + (0.0 if self.pa else lam * logs.logpx)) / (w + lam)
+        return _tilt(logs, log_t, w + lam, 1.0 / (1.0 + w))
+
+
+def pa_dual_objective(joint: JointPmf, beta: float, rate) -> SimplexObjective:
+    """The PA dual objective D(Q_Y||P_Y) + (beta/(1-beta)) D(Q_XY||P_XY)
+    + |R - H(X|Y)_Q|+ for beta in (0, 1); ``grad`` is a subgradient."""
+    return _Dual(joint, beta, rate, True).objective()
+
+
+class _DualSolve(NamedTuple):
+    """Every point a dual solve evaluated, with its terms and bounds."""
+
+    pts: np.ndarray  # evaluated points (k, d), masked coordinates
+    terms: _Terms  # their relative-entropy terms
+    lower: float  # certified lower bound on the minimum
+    run: Optional[_Run]  # the fallback, None when the search certified
+    method: str
+
+
+def _dual_solve(dual: _Dual, cfg: Optional[SolverConfig]) -> _DualSolve:
+    """Certified minimization of base + |l|+ through its Lagrangian.
+
+    base + |l|+ = max over lam in [0, 1] of F_lam = base + lam l, so every
+    F_lam(Q_lam) - gap_lam(Q_lam) at the closed-form minimizer Q_lam is a
+    certified lower bound, and the objective at every evaluated Q_lam bounds
+    the minimum from above. g(lam) = min_Q F_lam is concave with slope
+    l(Q_lam) (Danskin), so it peaks at lam = 0 if l(P) <= 0, at lam = 1 if
+    l(Q_1) >= 0, and otherwise where l(Q_lam) = 0, which regula falsi
+    brackets to LAMBDA_TOL. The search only proposes lam: every bound is
+    checked where it is taken. A gap of at least CERT_TOL runs the grid +
+    mirror-descent fallback seeded with the best Q_lam, whose points join
+    the evaluated ones; the lower bound stays.
+    """
+    mask, tilts, lowers = dual.mask, [], []
+
+    def slope(lam: float) -> float:
+        """Record Q_lam and its certified bound; return l(Q_lam)."""
+        q = dual.lagrangian_tilt(lam)
+        t = _Terms(_scatter(q, mask), dual.logs)
+        ell = dual.ell(t)
+        g = (dual.g_base(t) + lam * dual.g_ell(t))[mask]
+        tilts.append(q)
+        lowers.append(float(_lower_bound(np.atleast_1d(dual.base(t) + lam * ell), g[None],
+                                         q[None])[0]))
+        return float(ell)
+
+    at_0, at_1 = slope(0.0), slope(1.0)
+    if at_0 > 0.0 > at_1:
+        _falsi_root(slope, 0.0, 1.0, at_0, at_1, LAMBDA_TOL)
+    pts, lower = np.stack(tilts), max(lowers)
+    t = _Terms(_scatter(pts, mask), dual.logs)
+    vals = dual.value(t)
+    if _gap(float(vals.min()), lower) < CERT_TOL:
+        return _DualSolve(pts, t, lower, None, "tilt")
+    run = _solve(dual.objective(), mask, cfg or DEFAULT_CONFIG, pts[int(np.argmin(vals))][None])
+    pts = np.concatenate([pts, run.coords, run.ends, run.best_pt[None]], axis=0)
+    return _DualSolve(pts, _Terms(_scatter(pts, mask), dual.logs), lower, run, "grid+refine")
 
 
 # ---------------------------------------------------------------------------

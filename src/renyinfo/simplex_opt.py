@@ -1,24 +1,38 @@
 """Convex minimization of relative-entropy objectives over joint simplices.
 
-One driver serves every objective: a coarse barycentric grid over the
-(support-restricted) simplex seeds an entropic mirror-descent refinement
-(multiplicative updates), which keeps iterates strictly inside the support
-of these convex but boundary-singular objectives. Its fixed numerics are
-module constants: GRID_SUBDIVISIONS grid subdivisions (fewer beyond
-GRID_BUDGET points, evaluated CHUNK at a time), seeds mixed with the
-uniform point by INTERIOR_MIX, the step schedule STEP0 / (1 + t/STEP_DECAY)
-with no line search, and at most DIM_CAP cells. Refinement stops when the
-L1 step norm drops below STOP_STEP ("converged") or after
-SolverConfig.max_iters iterations ("max_iters"); the report says which.
+Every objective here is convex, so any point Q strictly inside the
+(support-restricted) simplex with a (sub)gradient g certifies an interval
+for the minimum (the Frank-Wolfe duality gap, Jaggi, ICML 2013):
 
-The reported "certified" gap is the crude surrogate L * delta, with delta
-the final grid/step resolution and L a Lipschitz surrogate estimated over
-the interior shrunk by INTERIOR_MARGIN; it is reported, never hidden.
+    F(Q) - (<g, Q> - min_i g_i) - allowance  <=  min F  <=  F(Q).
+
+The allowance, ROUND_ULPS * eps * (1 + |F(Q)| + max_i |g_i|), absorbs the
+float rounding of F and of the gap itself (without it the raw gap misses the
+true minimum by a few ulps at the exact minimizer). The reported gap of an
+interval [L, U] is U - L plus ROUND_ULPS * eps * (1 + |U|) for the rounding
+of U, so min F lies within gap of the reported minimum on either side.
+Soundness rests only on convexity: a point merely proposes where to look.
+
+A solve first certifies the caller's starting points (for the variational
+objectives, the reference joint P and the closed-form tilted minimizer,
+``_tilt``); an interval narrower than CERT_TOL returns at iteration 0 with
+stop_reason "certified". Otherwise it falls back to one driver: a coarse
+barycentric grid over the face seeds an entropic mirror-descent refinement
+(multiplicative updates), which keeps iterates strictly inside the support
+of these boundary-singular objectives. Its fixed numerics are module
+constants: GRID_SUBDIVISIONS grid subdivisions (fewer beyond GRID_BUDGET
+points, evaluated CHUNK at a time), seeds mixed with the uniform point by
+INTERIOR_MIX, the step schedule STEP0 / (1 + t/STEP_DECAY) with no line
+search, and at most DIM_CAP cells. Refinement stops when the L1 step norm
+drops below STOP_STEP ("converged") or after SolverConfig.max_iters
+iterations ("max_iters"). The fallback's gap is the same certificate, taken
+at the best of the starts, the best point and the descent's best point.
 
 The four objectives (the variational forms of H~ and I~ here, the PA and SC
 dual exponents in renyinfo.exponents) combine the same relative-entropy
 terms of the auxiliary joint Q (``_Terms``). They are the independent oracle
-for the variational characterizations and the dual exponent forms.
+for the variational characterizations and the dual exponent forms: neither
+the tilt nor the objectives call the two-parameter measures.
 """
 
 from __future__ import annotations
@@ -42,10 +56,12 @@ GRID_SUBDIVISIONS = 8
 GRID_BUDGET = 200_000
 CHUNK = 8192
 INTERIOR_MIX = 1e-4
-INTERIOR_MARGIN = 1e-6
 STEP0 = 0.1
 STEP_DECAY = 100.0
 STOP_STEP = 1e-10
+CERT_TOL = 1e-8
+ROUND_ULPS = 64.0
+EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -54,9 +70,10 @@ class SimplexObjective:
 
     ``batch`` maps an (..., nx, ny) stack to an (...) float array (+inf
     allowed at the boundary; finite somewhere on the relative interior).
-    ``grad`` returns the Euclidean gradient in bits at strictly positive
-    points, up to an additive constant. Cells outside ``support`` are
-    pinned to zero mass; the objective is treated as +inf off that face.
+    ``grad`` returns a Euclidean (sub)gradient in bits at strictly positive
+    points, up to an additive constant; the certificates are sound only if
+    it is one. Cells outside ``support`` are pinned to zero mass; the
+    objective is treated as +inf off that face.
     """
 
     dims: tuple[int, int]
@@ -82,11 +99,20 @@ DEFAULT_CONFIG = SolverConfig()
 
 @dataclass(frozen=True)
 class OptReport:
-    """Best value found, where, how, and a crude certified gap bound.
+    """Best value found, where, how, and a certified gap bound.
 
-    ``stop_reason`` is "converged" (the last step was below STOP_STEP),
-    "max_iters" (the descent ran out of iterations first) or "infeasible"
-    (no evaluated point satisfied the piece's constraint).
+    The minimum of the objective lies in [minimum - gap, minimum] up to
+    the rounding of ``minimum`` itself, which ``gap`` also covers, so it is
+    within ``gap`` of ``minimum`` on either side. ``method`` is "tilt"
+    (a starting point, usually the closed-form minimizer, certified the
+    minimum), "grid+refine" (the descent found the best point), "grid" (a
+    grid point beat the descent) or "infeasible".
+
+    ``stop_reason`` is "certified" (returned at iteration 0 with
+    gap < CERT_TOL; ``final_step`` is 0), "converged" (the last descent step
+    was below STOP_STEP), "max_iters" (the descent ran out of iterations
+    first) or "infeasible" (no evaluated point satisfied the piece's
+    constraint).
     """
 
     minimum: float
@@ -202,26 +228,42 @@ def _lse2(logq: np.ndarray) -> np.ndarray:
     return m + np.log2(np.exp2(logq - m).sum(axis=-1, keepdims=True))
 
 
-def _lipschitz_surrogate(obj: SimplexObjective, probes: np.ndarray, mask: np.ndarray) -> float:
-    """Crude sup-gradient bound over the interior-shrunk probes (k, d)."""
-    d = int(mask.sum())
-    uniform = np.full(d, 1.0 / d)
-    shrunk = (1.0 - INTERIOR_MARGIN) * probes + INTERIOR_MARGIN * uniform
-    g = obj.grad(_scatter(shrunk, mask))[..., mask]
-    g = g - g.mean(axis=-1, keepdims=True)
-    val = float(np.abs(g).max())
-    return 2.0 * val if math.isfinite(val) else INF
+def _lower_bound(vals: np.ndarray, g: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Certified lower bounds on min F from points ``pts`` (k, d) on the face.
+
+    ``vals`` (k,) are F there and ``g`` (k, d) (sub)gradients. Each bound is
+    F(Q) minus the Frank-Wolfe gap <g, Q> - min g minus the rounding
+    allowance (see the module docstring); a point with a zero cell or a
+    non-finite value or gradient certifies nothing (-inf).
+    """
+    gq = (g * pts).sum(axis=-1)
+    scale = 1.0 + np.abs(vals) + np.abs(g).max(axis=-1)
+    with np.errstate(invalid="ignore"):
+        low = vals - (gq - g.min(axis=-1)) - ROUND_ULPS * EPS * scale
+    ok = (pts > 0.0).all(axis=-1) & np.isfinite(low)
+    return np.where(ok, low, -INF)
+
+
+def _gap(upper: float, lower: float) -> float:
+    """The reported gap of an interval [lower, upper] for min F: its width
+    plus the allowance for the rounding of the value ``upper`` itself."""
+    return float(upper - lower + ROUND_ULPS * EPS * (1.0 + abs(upper)))
+
+
+def _certify(obj: SimplexObjective, pts: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(F, certified lower bound on min F) at each of ``pts`` (k, d)."""
+    full = _scatter(pts, mask)
+    vals = obj.batch(full)
+    return vals, _lower_bound(vals, obj.grad(full)[..., mask], pts)
 
 
 @dataclass(frozen=True)
 class _Run:
     """Every point one grid + descent solve evaluated, in masked coordinates."""
 
-    mask: np.ndarray
     coords: np.ndarray  # grid points (G, d)
     vals: np.ndarray  # objective on the grid (G,)
     grid_best: int  # index of the lowest finite grid value
-    resolution: float  # grid spacing 1/n
     ends: np.ndarray  # descent end points (k, d)
     best_val: float  # lowest value the descent saw
     best_pt: np.ndarray  # where it saw it (d,)
@@ -232,19 +274,14 @@ class _Run:
 def _solve(
     obj: SimplexObjective, mask: np.ndarray, cfg: SolverConfig, extra: Optional[np.ndarray]
 ) -> _Run:
-    """The grid -> seed -> mirror-descent pipeline behind every solve.
+    """The grid -> seed -> mirror-descent fallback behind every solve.
 
     ``mask`` is the objective's support and ``extra`` holds further seeds
-    (k, d) in masked coordinates. Raises DimensionCap when the simplex has
-    more than DIM_CAP cells and NonFiniteObjectiveEverywhere when no grid
-    point evaluates finite.
+    (k, d) in masked coordinates. Raises NonFiniteObjectiveEverywhere when
+    no grid point evaluates finite.
     """
-    nx, ny = obj.dims
-    if nx * ny > DIM_CAP:
-        raise DimensionCap(f"{nx}x{ny} = {nx * ny} cells > cap {DIM_CAP}")
     d = int(mask.sum())
-
-    coords, vals, resolution = evaluate_grid(obj, mask, cfg)
+    coords, vals, _ = evaluate_grid(obj, mask, cfg)
     finite = np.isfinite(vals)
     if not finite.any():
         raise NonFiniteObjectiveEverywhere("objective is +inf on every grid point")
@@ -258,29 +295,41 @@ def _solve(
     seeds = (1.0 - INTERIOR_MIX) * seeds + INTERIOR_MIX * uniform
 
     best_val, best_pt, ends, _, iters, final_step = mirror_descent(obj, seeds, mask, cfg)
-    return _Run(mask, coords, vals, int(order[0]), resolution, ends, best_val, best_pt,
-                iters, final_step)
+    return _Run(coords, vals, int(order[0]), ends, best_val, best_pt, iters, final_step)
+
+
+def _face(dims: tuple[int, int], support: Optional[np.ndarray]) -> np.ndarray:
+    """The support mask of a solve; raises DimensionCap beyond DIM_CAP cells."""
+    nx, ny = dims
+    if nx * ny > DIM_CAP:
+        raise DimensionCap(f"{nx}x{ny} = {nx * ny} cells > cap {DIM_CAP}")
+    return support if support is not None else np.ones(dims, dtype=bool)
 
 
 def _report(
-    run: _Run,
+    mask: np.ndarray,
+    run: Optional[_Run],
     value: float,
     point: Optional[np.ndarray],
     method: str,
     gap: float,
     labels: Optional[tuple[Sequence[str], Sequence[str]]],
 ) -> OptReport:
-    """The report for ``point`` (masked coords) of ``run``; None is infeasible."""
+    """The report for ``point`` (masked coords); a None point is infeasible
+    and a None ``run`` means certified at iteration 0."""
+    if run is None:
+        iterations, final_step, stop_reason = 0, 0.0, "certified"
+    else:
+        iterations, final_step = run.iterations, run.final_step
+        stop_reason = "converged" if final_step < STOP_STEP else "max_iters"
     if point is None:
-        return OptReport(value, None, method, gap, run.iterations, run.final_step, "infeasible")
-    stop_reason = "converged" if run.final_step < STOP_STEP else "max_iters"
-    full = _scatter(point, run.mask)
+        return OptReport(value, None, method, gap, iterations, final_step, "infeasible")
+    full = _scatter(point, mask)
     if labels is None:
-        nx, ny = run.mask.shape
+        nx, ny = mask.shape
         labels = (tuple(f"x{i}" for i in range(nx)), tuple(f"y{j}" for j in range(ny)))
     argmin = JointPmf(tuple(labels[0]), tuple(labels[1]), full / full.sum())
-    return OptReport(value, argmin, method, float(gap), run.iterations, run.final_step,
-                     stop_reason)
+    return OptReport(value, argmin, method, float(gap), iterations, final_step, stop_reason)
 
 
 def minimize_over_joint(
@@ -289,29 +338,35 @@ def minimize_over_joint(
     labels: Optional[tuple[Sequence[str], Sequence[str]]] = None,
     extra_starts: Optional[list[np.ndarray]] = None,
 ) -> OptReport:
-    """Grid + mirror-descent minimization of ``obj`` over the joint simplex.
+    """Certified minimization of ``obj`` over the joint simplex.
 
-    ``extra_starts`` are full (nx, ny) matrices added to the refinement
-    seeds (e.g. a known feasible point). Raises DimensionCap when the
-    simplex is larger than DIM_CAP cells and NonFiniteObjectiveEverywhere
-    when no grid point evaluates finite.
+    ``extra_starts`` are full (nx, ny) matrices (e.g. a known feasible
+    point or a closed-form minimizer). They are certified first: if their
+    best interval is narrower than CERT_TOL the solve returns there
+    (method "tilt", stop_reason "certified"). Otherwise they join the
+    refinement seeds of the grid + mirror-descent fallback. Raises
+    DimensionCap when the simplex is larger than DIM_CAP cells and
+    NonFiniteObjectiveEverywhere when the fallback finds no finite grid
+    point.
     """
-    mask = obj.support if obj.support is not None else np.ones(obj.dims, dtype=bool)
-    extra = None
+    mask = _face(obj.dims, obj.support)
+    extra, lower = None, -INF
     if extra_starts:
         extra = np.stack([np.asarray(s, dtype=np.float64)[mask] for s in extra_starts])
         extra = extra / extra.sum(axis=-1, keepdims=True)
+        vals, lows = _certify(obj, extra, mask)
+        j, lower = int(np.argmin(vals)), float(lows.max())
+        gap = _gap(vals[j], lower)
+        if gap < CERT_TOL:
+            return _report(mask, None, float(vals[j]), extra[j], "tilt", gap, labels)
     run = _solve(obj, mask, cfg or DEFAULT_CONFIG, extra)
     best_val, best_pt, method = run.best_val, run.best_pt, "grid+refine"
     grid_best = float(run.vals[run.grid_best])
     if grid_best < best_val:
         best_val, best_pt, method = grid_best, run.coords[run.grid_best], "grid"
-
-    d = len(best_pt)
-    probes = np.stack([best_pt, np.full(d, 1.0 / d)])
-    lip = _lipschitz_surrogate(obj, probes, mask)
-    delta = run.final_step if run.final_step < run.resolution else run.resolution
-    return _report(run, best_val, best_pt, method, lip * delta, labels)
+    _, lows = _certify(obj, np.stack([best_pt, run.best_pt]), mask)
+    lower = max(lower, float(lows.max()))
+    return _report(mask, run, best_val, best_pt, method, _gap(best_val, lower), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +418,22 @@ class _Terms:
     dqp = cached_property(lambda t: (t.q * t.g_dqp).sum(axis=(-2, -1)))
     h = cached_property(lambda t: (t.qy * t.lqy).sum(axis=-1) - (t.q * t.lq).sum(axis=(-2, -1)))
     dxc = cached_property(lambda t: (t.q * (t.lq - (t.ly + t.logs.logpx))).sum(axis=(-2, -1)))
+
+
+def _tilt(logs: _JointLogs, log_t: np.ndarray, s_exp: float, root: float = 1.0) -> np.ndarray:
+    """The tilted joint Q(x,y) ∝ (P_Y(y) S_y^s_exp)^root t(x,y) / S_y on P's
+    support, in masked coordinates, with t = 2^log_t and S_y = Σ_x t(x,y).
+
+    The minimizers of the variational objectives (root 1) and of the
+    Lagrangians of the dual exponents (renyinfo.exponents) have this form.
+    Computed from P's logs alone; columns with P_Y = 0 carry no mass.
+    """
+    lt = np.where(logs.mask, log_t, -INF)
+    m = lt.max(axis=0)
+    with np.errstate(invalid="ignore"):
+        log_s = m + np.log2(np.exp2(lt - m).sum(axis=0))
+        logq = (root * (logs.logpy + s_exp * log_s) + lt - log_s)[logs.mask]
+    return np.exp2(logq - _lse2(logq))
 
 
 # ---------------------------------------------------------------------------
@@ -417,18 +488,33 @@ def variational_i_objective(
     return SimplexObjective(joint.shape, batch, grad, logs.mask)
 
 
+def _variational_solve(
+    joint: JointPmf, obj: SimplexObjective, alpha: float, beta: float, r_is_px: bool,
+    cfg: Optional[SolverConfig],
+) -> OptReport:
+    """Certify the tilted minimizer
+    Q*(x,y) ∝ P_Y(y) S_y^(beta/alpha - 1) r(x)^(1-alpha) P_{X|Y}(x|y)^alpha,
+    S_y = Σ_x r(x)^(1-alpha) P_{X|Y}(x|y)^alpha, with r = P_X or 1_X,
+    falling back to descent."""
+    logs = _joint_logs(joint)
+    log_r = logs.logpx if r_is_px else 0.0
+    log_t = (1.0 - alpha) * log_r + alpha * (logs.logp - logs.logpy)
+    tilt = _scatter(_tilt(logs, log_t, beta / alpha), logs.mask)
+    return minimize_over_joint(
+        obj,
+        cfg=cfg,
+        labels=(joint.alphabet_x, joint.alphabet_y),
+        extra_starts=[joint.probs, tilt],
+    )
+
+
 def variational_h(
     joint: JointPmf, alpha: float, beta: float, cfg: Optional[SolverConfig] = None
 ) -> OptReport:
     """Solve the conditional-entropy variational problem; the report's
     minimum approximates (alpha - 1) * H~_{alpha,beta}(X|Y)."""
     obj = variational_h_objective(joint, alpha, beta)
-    return minimize_over_joint(
-        obj,
-        cfg=cfg,
-        labels=(joint.alphabet_x, joint.alphabet_y),
-        extra_starts=[joint.probs],
-    )
+    return _variational_solve(joint, obj, alpha, beta, False, cfg)
 
 
 def variational_i(
@@ -437,12 +523,7 @@ def variational_i(
     """Solve the mutual-information variational problem; the report's
     minimum approximates (1 - alpha) * I~_{alpha,beta}(X:Y)."""
     obj = variational_i_objective(joint, alpha, beta)
-    return minimize_over_joint(
-        obj,
-        cfg=cfg,
-        labels=(joint.alphabet_x, joint.alphabet_y),
-        extra_starts=[joint.probs],
-    )
+    return _variational_solve(joint, obj, alpha, beta, True, cfg)
 
 
 def variational_h_target(joint: JointPmf, alpha: float, beta: float) -> float:

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+import renyinfo.exponents as exponents
 from renyinfo.dist import JointPmf, Pmf, marginal_y
 from renyinfo.exponents import (
     Rate,
     golden_section_max,
     one_shot_pa_lower_bound,
     pa_dual_exponent,
+    pa_dual_objective,
     pa_exponent,
     sc_dual_exponent,
     sc_exponent,
@@ -21,8 +23,8 @@ from renyinfo.measures import (
     shannon_cond_entropy,
     shannon_mi,
 )
-from renyinfo.sampling import random_joint
-from renyinfo.simplex_opt import SolverConfig
+from renyinfo.sampling import random_joint, random_joint_with_zeros
+from renyinfo.simplex_opt import CERT_TOL, SolverConfig, _tilt, minimize_over_joint
 
 SOLVER = SolverConfig(max_iters=2500, refine_starts=3)
 
@@ -104,11 +106,24 @@ class TestPaDual:
         j = random_joint(rng, 2, 2)
         g1, g2 = pa_dual_exponent(j, 0.3, math.log2(2) + 0.5, SOLVER)
         assert g1.stop_reason == "infeasible"
-        assert g2.stop_reason in ("converged", "max_iters")
-        g1, g2 = pa_dual_exponent(j, 0.3, 0.5, SolverConfig(max_iters=1, refine_starts=3))
+        assert g2.stop_reason == "certified" and g2.iterations == 0
+        # descent on the same objective from the reference point alone
+        obj = pa_dual_objective(j, 0.3, math.log2(2) + 0.5)
+        rep = minimize_over_joint(obj, cfg=SOLVER, extra_starts=[j.probs])
+        assert rep.stop_reason in ("converged", "max_iters")
+        one_step = SolverConfig(max_iters=1, refine_starts=3)
+        g1, g2 = pa_dual_exponent(j, 0.3, 0.5, one_step)
         for g in (g1, g2):
             if g.argmin is not None:
-                assert g.stop_reason == "max_iters" and g.iterations == 1
+                assert g.stop_reason == "certified" and g.iterations == 0
+        # R = 0.5 < H(X|Y): the reference point is the minimizer and certifies
+        # itself, so descent is reached from the grid seeds alone
+        assert shannon_cond_entropy(j) > 0.5
+        obj = pa_dual_objective(j, 0.3, 0.5)
+        rep = minimize_over_joint(obj, cfg=one_step, extra_starts=[j.probs])
+        assert rep.stop_reason == "certified" and rep.minimum == 0.0
+        rep = minimize_over_joint(obj, cfg=one_step)
+        assert rep.stop_reason == "max_iters" and rep.iterations == 1
 
     def test_zero_rate_min_is_zero(self, rng):
         j = random_joint(rng, 3, 2)
@@ -235,3 +250,62 @@ class TestScOneShotBound:
         b2 = sc_one_shot_bound(j, 2.0, log_m=0.5, n=3)
         i2 = mutual_info_variant("i", j, 2).value
         assert b2 == pytest.approx(max(3 * i2 - 0.5, 0.0), abs=1e-12)
+
+
+def _criterion_4_cases(rng, joints):
+    """Joints, orders and rates laid out as in acceptance criterion 4."""
+    for k in range(joints):
+        nx, ny = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+        j = (random_joint if k % 2 else random_joint_with_zeros)(rng, nx, ny)
+        h = shannon_cond_entropy(j)
+        for beta in (0.3, 0.5, 0.8):
+            for r in (0.0, 0.25, max(h - 0.3, 0.0), h + 0.3, math.log2(nx)):
+                yield j, beta, r
+
+
+def _rate_sweeps(rng, joints):
+    """Fine rate grids, which reach the interior Lagrange multipliers."""
+    for _ in range(joints):
+        j = random_joint(rng, 3, 3)
+        for beta in (0.3, 0.5, 0.8):
+            for r in np.linspace(0.0, math.log2(3), 13):
+                yield j, beta, float(r)
+
+
+class TestDualCertificate:
+    def test_duals_certify_the_primal(self, rng):
+        cases = list(_criterion_4_cases(rng, 10)) + list(_rate_sweeps(rng, 2))
+        for j, beta, r in cases:
+            case = (j.shape, beta, r)
+            pieces = [g for g in pa_dual_exponent(j, beta, r, SOLVER) if math.isfinite(g.minimum)]
+            assert len({g.gap for g in pieces}) == 1, case
+            u, gap = min(g.minimum for g in pieces), pieces[0].gap
+            assert all(g.stop_reason == "certified" and g.iterations == 0 for g in pieces), case
+            assert 0.0 <= gap < CERT_TOL, case
+            prim = pa_exponent(j, beta, r).value
+            assert u - gap <= prim <= u + gap, ("pa",) + case
+            rep = sc_dual_exponent(j, beta, r, SOLVER)
+            assert rep.stop_reason == "certified" and rep.iterations == 0, case
+            assert 0.0 <= rep.gap < CERT_TOL, case
+            prim = sc_exponent(j, beta, r).value
+            assert rep.minimum - rep.gap <= prim <= rep.minimum + rep.gap, ("sc",) + case
+
+    def test_mutated_tilt_never_lifts_the_lower_bound(self, rng, monkeypatch):
+        def mutated(logs, log_t, s_exp, root=1.0):
+            return _tilt(logs, log_t, s_exp + 1.0, root)
+
+        monkeypatch.setattr(exponents, "_tilt", mutated)
+        for j, beta, r in _criterion_4_cases(rng, 1):
+            if beta != 0.5:
+                continue
+            pieces = [g for g in pa_dual_exponent(j, beta, r, SOLVER) if math.isfinite(g.minimum)]
+            u, gap = min(g.minimum for g in pieces), pieces[0].gap
+            assert all(g.stop_reason != "certified" and g.iterations > 0 for g in pieces), r
+            prim = pa_exponent(j, beta, r).value
+            assert u - gap <= prim, ("pa", r)
+            assert abs(u - prim) <= max(1e-3, gap), ("pa", r)
+            rep = sc_dual_exponent(j, beta, r, SOLVER)
+            assert rep.stop_reason != "certified" and rep.iterations > 0, r
+            prim = sc_exponent(j, beta, r).value
+            assert rep.minimum - rep.gap <= prim, ("sc", r)
+            assert abs(rep.minimum - prim) <= max(1e-3, rep.gap), ("sc", r)
