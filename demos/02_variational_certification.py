@@ -11,8 +11,8 @@ relative-entropy combinations over auxiliary joints Q:
 
 The solver never evaluates the closed forms: it proposes the tilted joint
 that minimizes the objective, proves its value to within a Frank-Wolfe
-duality gap using only convexity, and falls back to a grid-seeded entropic
-mirror descent when that interval is too wide. Agreement certifies both
+duality gap using only convexity, and falls back to an entropic mirror
+descent from that point when the interval is too wide. Agreement certifies both
 sides.
 """
 
@@ -23,7 +23,7 @@ from renyinfo.sampling import random_joint
 from renyinfo.simplex_opt import variational_h_target, variational_i_target
 
 rng = np.random.default_rng(7)
-cfg = SolverConfig(max_iters=3000, refine_starts=3)
+cfg = SolverConfig(max_iters=3000)
 
 print("joint  alpha beta |   optimizer        closed form      |diff|     gap bound")
 for trial in range(3):

@@ -21,7 +21,7 @@ from renyinfo import SolverConfig, pa_dual_exponent, pa_exponent, sc_dual_expone
 from renyinfo.dist import JointPmf
 from renyinfo.measures import cond_entropy_variant, mutual_info_variant, shannon_cond_entropy, shannon_mi
 
-solver = SolverConfig(max_iters=2500, refine_starts=3)
+solver = SolverConfig(max_iters=2500)
 p = 0.1
 joint = JointPmf(("0", "1"), ("0", "1"),
                  [[(1 - p) / 2, p / 2], [p / 2, (1 - p) / 2]])

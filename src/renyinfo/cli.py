@@ -225,7 +225,7 @@ def cmd_exponent(args) -> int:
     if any(r < 0 for r in rates):
         raise CliError("rates must be non-negative")
     cfg = ExponentConfig(grid_step=args.grid_step)
-    solver = SolverConfig(max_iters=args.solver_iters, refine_starts=3)
+    solver = SolverConfig(max_iters=args.solver_iters)
     primal = pa_exponent if args.problem == "pa" else sc_exponent
     points = [(b, r) for b in betas for r in rates]
 

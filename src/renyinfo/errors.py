@@ -34,11 +34,11 @@ class UndefinedCorner(RenyinfoError):
 
 
 class DimensionCap(RenyinfoError):
-    """Optimization dimension exceeds the configured cap."""
+    """The descent fallback would run on more cells than the configured cap."""
 
 
 class NonFiniteObjectiveEverywhere(RenyinfoError):
-    """No grid point produced a finite objective value."""
+    """No descent start produced a finite objective value."""
 
 
 class EnumerationCap(RenyinfoError):

@@ -26,9 +26,10 @@ minimized in closed form by a tilted joint Q_lambda, and a 1-D search over
 lambda (of its own; it never borrows the primal alpha*) maximizes the
 certified lower bounds F_lambda(Q_lambda) - gap_lambda(Q_lambda) while the
 values F(Q_lambda) give the upper bound. An interval wider than
-simplex_opt.CERT_TOL falls back to the grid + mirror-descent driver seeded
-with the best Q_lambda, which can only lower the upper bound. The PA form
-splits the evaluated points into the pieces G1 (where H(X|Y)_Q > R) and G2.
+simplex_opt.CERT_TOL falls back to the mirror-descent driver started from
+the best Q_lambda, whose points are certified on the clipped objective
+itself and so can tighten both bounds. The PA form splits the evaluated
+points into the pieces G1 (where H(X|Y)_Q > R) and G2.
 The dual route shares no code with the primal one: it never calls the
 two-parameter measures. Rates are in bits.
 """
@@ -49,7 +50,6 @@ from .simplex_opt import (
     OptReport,
     SimplexObjective,
     SolverConfig,
-    _face,
     _gap,
     _joint_logs,
     _lower_bound,
@@ -207,12 +207,12 @@ def pa_dual_exponent(
     R - H(X|Y)_Q excess over the complement. Their minimum equals the
     unconstrained minimum of base + |R - H(X|Y)_Q|+, which is what the
     Lagrangian search certifies; the individual pieces are the best
-    values among all evaluated points (the tilts Q_lambda, and the grid,
-    refinement ends and best point on fallback) classified by the
-    constraint, and both feasible pieces carry the certified width of
-    min(G1, G2) as their gap. An infeasible piece (no evaluated point
-    satisfies its constraint, e.g. G1 when R >= log|X|) reports
-    minimum = +inf with argmin = None.
+    values among all evaluated points (the tilts Q_lambda, and the descent
+    ends and best point on fallback) classified by the constraint, and
+    both feasible pieces carry the certified width of min(G1, G2) as their
+    gap. An infeasible piece (no evaluated point satisfies its
+    constraint, e.g. G1 when R >= log|X|) reports minimum = +inf with
+    argmin = None.
     """
     dual = _Dual(joint, beta, rate, True)
     sol = _dual_solve(dual, cfg)
@@ -287,7 +287,7 @@ class _Dual:
         self.r = rate.bits if isinstance(rate, Rate) else Rate(float(rate)).bits
         self.shape, self.pa = joint.shape, pa
         self.logs = _joint_logs(joint)
-        self.mask = _face(joint.shape, self.logs.mask)
+        self.mask = self.logs.mask
         self.w = beta / (1.0 - beta)
 
     def base(self, t: _Terms) -> np.ndarray:
@@ -352,9 +352,10 @@ def _dual_solve(dual: _Dual, cfg: Optional[SolverConfig]) -> _DualSolve:
     l(Q_lam) (Danskin), so it peaks at lam = 0 if l(P) <= 0, at lam = 1 if
     l(Q_1) >= 0, and otherwise where l(Q_lam) = 0, which regula falsi
     brackets to LAMBDA_TOL. The search only proposes lam: every bound is
-    checked where it is taken. A gap of at least CERT_TOL runs the grid +
-    mirror-descent fallback seeded with the best Q_lam, whose points join
-    the evaluated ones; the lower bound stays.
+    checked where it is taken. A gap of at least CERT_TOL runs the
+    mirror-descent fallback from the best Q_lam; its points join the
+    evaluated ones and its certified bound (taken on base + |l|+ with the
+    subgradient of ``_Dual.objective``) joins the lower bound.
     """
     mask, tilts, lowers = dual.mask, [], []
 
@@ -378,8 +379,9 @@ def _dual_solve(dual: _Dual, cfg: Optional[SolverConfig]) -> _DualSolve:
     if _gap(float(vals.min()), lower) < CERT_TOL:
         return _DualSolve(pts, t, lower, None, "tilt")
     run = _solve(dual.objective(), mask, cfg or DEFAULT_CONFIG, pts[int(np.argmin(vals))][None])
-    pts = np.concatenate([pts, run.coords, run.ends, run.best_pt[None]], axis=0)
-    return _DualSolve(pts, _Terms(_scatter(pts, mask), dual.logs), lower, run, "grid+refine")
+    pts = np.concatenate([pts, run.ends, run.best_pt[None]], axis=0)
+    return _DualSolve(pts, _Terms(_scatter(pts, mask), dual.logs), max(lower, run.lower), run,
+                      "descent")
 
 
 # ---------------------------------------------------------------------------

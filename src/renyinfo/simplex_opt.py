@@ -16,17 +16,17 @@ Soundness rests only on convexity: a point merely proposes where to look.
 A solve first certifies the caller's starting points (for the variational
 objectives, the reference joint P and the closed-form tilted minimizer,
 ``_tilt``); an interval narrower than CERT_TOL returns at iteration 0 with
-stop_reason "certified". Otherwise it falls back to one driver: a coarse
-barycentric grid over the face seeds an entropic mirror-descent refinement
-(multiplicative updates), which keeps iterates strictly inside the support
-of these boundary-singular objectives. Its fixed numerics are module
-constants: GRID_SUBDIVISIONS grid subdivisions (fewer beyond GRID_BUDGET
-points, evaluated CHUNK at a time), seeds mixed with the uniform point by
-INTERIOR_MIX, the step schedule STEP0 / (1 + t/STEP_DECAY) with no line
-search, and at most DIM_CAP cells. Refinement stops when the L1 step norm
-drops below STOP_STEP ("converged") or after SolverConfig.max_iters
-iterations ("max_iters"). The fallback's gap is the same certificate, taken
-at the best of the starts, the best point and the descent's best point.
+stop_reason "certified". Otherwise it falls back to entropic mirror
+descent (multiplicative updates) from those starts and the face
+barycentre, which keeps iterates strictly inside the support of these
+boundary-singular objectives. Its fixed numerics are module constants:
+starts mixed with the barycentre by INTERIOR_MIX, the step schedule
+STEP0 / (1 + t/STEP_DECAY) with no line search, and at most DIM_CAP cells
+(the closed-form certificates have no cap). The descent stops when the L1
+step norm drops below STOP_STEP ("converged") or after
+SolverConfig.max_iters iterations ("max_iters"). The fallback's gap is the
+same certificate, taken at the best of the starts, the descent's end points
+and its best point.
 
 The four objectives (the variational forms of H~ and I~ here, the PA and SC
 dual exponents in renyinfo.exponents) combine the same relative-entropy
@@ -37,10 +37,9 @@ the tilt nor the objectives call the two-parameter measures.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -51,10 +50,7 @@ from .two_param import h_tilde, i_tilde
 
 INF = math.inf
 
-DIM_CAP = 36
-GRID_SUBDIVISIONS = 8
-GRID_BUDGET = 200_000
-CHUNK = 8192
+DIM_CAP = 1024
 INTERIOR_MIX = 1e-4
 STEP0 = 0.1
 STEP_DECAY = 100.0
@@ -88,7 +84,12 @@ class SimplexObjective:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """The two settings callers choose; the rest are module constants."""
+    """The descent's iteration budget; the rest are module constants.
+
+    ``refine_starts`` is ignored: the descent runs from the caller's
+    starts and the face barycentre. It is kept only so that existing
+    callers that set it still construct.
+    """
 
     max_iters: int = 10_000
     refine_starts: int = 5
@@ -105,8 +106,8 @@ class OptReport:
     the rounding of ``minimum`` itself, which ``gap`` also covers, so it is
     within ``gap`` of ``minimum`` on either side. ``method`` is "tilt"
     (a starting point, usually the closed-form minimizer, certified the
-    minimum), "grid+refine" (the descent found the best point), "grid" (a
-    grid point beat the descent) or "infeasible".
+    minimum), "descent" (the mirror-descent fallback found the best point)
+    or "infeasible".
 
     ``stop_reason`` is "certified" (returned at iteration 0 with
     gap < CERT_TOL; ``final_step`` is 0), "converged" (the last descent step
@@ -124,57 +125,11 @@ class OptReport:
     stop_reason: str
 
 
-@lru_cache(maxsize=64)
-def _grid_coords(d: int, n: int) -> np.ndarray:
-    """All barycentric grid points with n subdivisions on the (d-1)-simplex."""
-    bars = itertools.combinations(range(n + d - 1), d - 1)
-    arr = np.fromiter(
-        itertools.chain.from_iterable(bars), dtype=np.int64, count=-1
-    ).reshape(-1, d - 1) if d > 1 else np.zeros((1, 0), dtype=np.int64)
-    padded = np.concatenate(
-        [
-            np.full((arr.shape[0], 1), -1, dtype=np.int64),
-            arr,
-            np.full((arr.shape[0], 1), n + d - 1, dtype=np.int64),
-        ],
-        axis=1,
-    )
-    counts = np.diff(padded, axis=1) - 1
-    pts = counts.astype(np.float64) / n
-    pts.setflags(write=False)
-    return pts
-
-
-def _pick_subdivisions(d: int) -> int:
-    n = GRID_SUBDIVISIONS
-    while n > 1 and math.comb(n + d - 1, d - 1) > GRID_BUDGET:
-        n -= 1
-    return n
-
-
 def _scatter(coords: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Masked coordinates (..., d) -> full matrices (..., nx, ny)."""
     out = np.zeros(coords.shape[:-1] + mask.shape)
     out[..., mask] = coords
     return out
-
-
-def evaluate_grid(
-    obj: SimplexObjective, mask: np.ndarray, cfg: SolverConfig
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Objective values on the coarse grid over the masked face.
-
-    The grid size depends only on the face dimension (see GRID_BUDGET), not
-    on ``cfg``. Returns (coords (G, d), values (G,), resolution 1/n).
-    """
-    d = int(mask.sum())
-    n = _pick_subdivisions(d)
-    coords = _grid_coords(d, n)
-    vals = np.empty(len(coords))
-    for lo in range(0, len(coords), CHUNK):
-        sl = slice(lo, lo + CHUNK)
-        vals[sl] = obj.batch(_scatter(coords[sl], mask))
-    return coords, vals, 1.0 / n
 
 
 def mirror_descent(
@@ -188,13 +143,15 @@ def mirror_descent(
     Returns (best value, best coords (d,), end coords (k, d),
     end values (k,), iterations, final step norm). The running incumbent
     (best value seen) is checked non-increasing at every iteration; a
-    violation raises RuntimeError.
+    violation raises RuntimeError. Raises NonFiniteObjectiveEverywhere when
+    no start evaluates finite.
     """
-    k, d = starts.shape
     logq = np.log2(np.maximum(starts, 1e-300))
     logq -= _lse2(logq)
     q = np.exp2(logq)
     vals = obj.batch(_scatter(q, mask))
+    if not np.isfinite(vals).any():
+        raise NonFiniteObjectiveEverywhere("objective is non-finite at every descent start")
     best_per = vals.copy()
     best_pts = q.copy()
     incumbent = float(np.min(vals))
@@ -259,51 +216,36 @@ def _certify(obj: SimplexObjective, pts: np.ndarray, mask: np.ndarray) -> tuple[
 
 @dataclass(frozen=True)
 class _Run:
-    """Every point one grid + descent solve evaluated, in masked coordinates."""
+    """What one descent fallback found, in masked coordinates."""
 
-    coords: np.ndarray  # grid points (G, d)
-    vals: np.ndarray  # objective on the grid (G,)
-    grid_best: int  # index of the lowest finite grid value
     ends: np.ndarray  # descent end points (k, d)
     best_val: float  # lowest value the descent saw
     best_pt: np.ndarray  # where it saw it (d,)
+    lower: float  # certified lower bound on min F from the ends and best point
     iterations: int
     final_step: float
 
 
 def _solve(
-    obj: SimplexObjective, mask: np.ndarray, cfg: SolverConfig, extra: Optional[np.ndarray]
+    obj: SimplexObjective, mask: np.ndarray, cfg: SolverConfig, starts: Optional[np.ndarray]
 ) -> _Run:
-    """The grid -> seed -> mirror-descent fallback behind every solve.
+    """The mirror-descent fallback behind every solve that did not certify.
 
-    ``mask`` is the objective's support and ``extra`` holds further seeds
-    (k, d) in masked coordinates. Raises NonFiniteObjectiveEverywhere when
-    no grid point evaluates finite.
+    ``mask`` is the objective's support and ``starts`` holds the caller's
+    starting points (k, d) in masked coordinates; the face barycentre is
+    always added. Raises DimensionCap beyond DIM_CAP cells and
+    NonFiniteObjectiveEverywhere when no start evaluates finite.
     """
-    d = int(mask.sum())
-    coords, vals, _ = evaluate_grid(obj, mask, cfg)
-    finite = np.isfinite(vals)
-    if not finite.any():
-        raise NonFiniteObjectiveEverywhere("objective is +inf on every grid point")
-    order = np.argsort(np.where(finite, vals, INF))
-    k = min(cfg.refine_starts, int(finite.sum()))
-    seeds = coords[order[:k]]
-    if extra is not None:
-        seeds = np.concatenate([seeds, extra], axis=0)
-
-    uniform = np.full(d, 1.0 / d)
-    seeds = (1.0 - INTERIOR_MIX) * seeds + INTERIOR_MIX * uniform
-
-    best_val, best_pt, ends, _, iters, final_step = mirror_descent(obj, seeds, mask, cfg)
-    return _Run(coords, vals, int(order[0]), ends, best_val, best_pt, iters, final_step)
-
-
-def _face(dims: tuple[int, int], support: Optional[np.ndarray]) -> np.ndarray:
-    """The support mask of a solve; raises DimensionCap beyond DIM_CAP cells."""
-    nx, ny = dims
+    nx, ny = obj.dims
     if nx * ny > DIM_CAP:
         raise DimensionCap(f"{nx}x{ny} = {nx * ny} cells > cap {DIM_CAP}")
-    return support if support is not None else np.ones(dims, dtype=bool)
+    d = int(mask.sum())
+    uniform = np.full(d, 1.0 / d)
+    seeds = uniform[None] if starts is None else np.concatenate([starts, uniform[None]])
+    seeds = (1.0 - INTERIOR_MIX) * seeds + INTERIOR_MIX * uniform
+    best_val, best_pt, ends, _, iters, final_step = mirror_descent(obj, seeds, mask, cfg)
+    _, lows = _certify(obj, np.concatenate([ends, best_pt[None]]), mask)
+    return _Run(ends, best_val, best_pt, float(lows.max()), iters, final_step)
 
 
 def _report(
@@ -343,30 +285,25 @@ def minimize_over_joint(
     ``extra_starts`` are full (nx, ny) matrices (e.g. a known feasible
     point or a closed-form minimizer). They are certified first: if their
     best interval is narrower than CERT_TOL the solve returns there
-    (method "tilt", stop_reason "certified"). Otherwise they join the
-    refinement seeds of the grid + mirror-descent fallback. Raises
-    DimensionCap when the simplex is larger than DIM_CAP cells and
-    NonFiniteObjectiveEverywhere when the fallback finds no finite grid
-    point.
+    (method "tilt", stop_reason "certified"). Otherwise the mirror-descent
+    fallback runs from them and the face barycentre (method "descent").
+    Raises DimensionCap when the fallback would run on more than DIM_CAP
+    cells and NonFiniteObjectiveEverywhere when no descent start evaluates
+    finite.
     """
-    mask = _face(obj.dims, obj.support)
-    extra, lower = None, -INF
+    mask = obj.support if obj.support is not None else np.ones(obj.dims, dtype=bool)
+    starts, lower = None, -INF
     if extra_starts:
-        extra = np.stack([np.asarray(s, dtype=np.float64)[mask] for s in extra_starts])
-        extra = extra / extra.sum(axis=-1, keepdims=True)
-        vals, lows = _certify(obj, extra, mask)
+        starts = np.stack([np.asarray(s, dtype=np.float64)[mask] for s in extra_starts])
+        starts = starts / starts.sum(axis=-1, keepdims=True)
+        vals, lows = _certify(obj, starts, mask)
         j, lower = int(np.argmin(vals)), float(lows.max())
         gap = _gap(vals[j], lower)
         if gap < CERT_TOL:
-            return _report(mask, None, float(vals[j]), extra[j], "tilt", gap, labels)
-    run = _solve(obj, mask, cfg or DEFAULT_CONFIG, extra)
-    best_val, best_pt, method = run.best_val, run.best_pt, "grid+refine"
-    grid_best = float(run.vals[run.grid_best])
-    if grid_best < best_val:
-        best_val, best_pt, method = grid_best, run.coords[run.grid_best], "grid"
-    _, lows = _certify(obj, np.stack([best_pt, run.best_pt]), mask)
-    lower = max(lower, float(lows.max()))
-    return _report(mask, run, best_val, best_pt, method, _gap(best_val, lower), labels)
+            return _report(mask, None, float(vals[j]), starts[j], "tilt", gap, labels)
+    run = _solve(obj, mask, cfg or DEFAULT_CONFIG, starts)
+    gap = _gap(run.best_val, max(lower, run.lower))
+    return _report(mask, run, run.best_val, run.best_pt, "descent", gap, labels)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from renyinfo.simplex_opt import (
 )
 from renyinfo.two_param import h_tilde, i_tilde
 
-SOLVER = SolverConfig(max_iters=2500, refine_starts=3)
+SOLVER = SolverConfig(max_iters=2500)
 
 
 def _line(tag: str, passed: bool, elapsed: float, detail: str = ""):

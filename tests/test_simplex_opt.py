@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 import renyinfo.simplex_opt as simplex_opt
 from renyinfo.dist import JointPmf
 from renyinfo.errors import DimensionCap, NonFiniteObjectiveEverywhere
+from renyinfo.exponents import pa_dual_exponent, sc_dual_exponent
+from renyinfo.measures import shannon_cond_entropy
 from renyinfo.sampling import random_joint, random_joint_with_zeros
 from renyinfo.simplex_opt import (
     STOP_STEP,
@@ -20,7 +23,7 @@ from renyinfo.simplex_opt import (
     variational_i_target,
 )
 
-FAST = SolverConfig(max_iters=2500, refine_starts=3)
+FAST = SolverConfig(max_iters=2500)
 
 
 def kl_objective(p: JointPmf) -> SimplexObjective:
@@ -51,9 +54,20 @@ class TestSolverCore:
         assert rep.gap >= 0.0
 
     def test_dimension_cap(self, rng):
-        p = random_joint(rng, 7, 6)  # 42 cells > DIM_CAP = 36
+        # no starts, so the solve reaches the descent fallback
+        p = random_joint(rng, 33, 32)  # 1056 cells > DIM_CAP = 1024
         with pytest.raises(DimensionCap):
             minimize_over_joint(kl_objective(p), cfg=FAST)
+
+    def test_cap_binds_only_the_fallback(self, rng):
+        # the closed-form certificates run no descent, so no cap applies
+        j = random_joint(rng, 7, 6)
+        reps = [variational_h(j, 2.0, 0.5, FAST), variational_i(j, 2.0, 0.5, FAST)]
+        for r in (0.5, shannon_cond_entropy(j) + 0.3):
+            reps += [g for g in pa_dual_exponent(j, 0.5, r, FAST) if g.argmin is not None]
+            reps.append(sc_dual_exponent(j, 0.5, r, FAST))
+        for rep in reps:
+            assert rep.stop_reason == "certified" and rep.iterations == 0
 
     def test_nonfinite_everywhere(self):
         obj = SimplexObjective(dims=(2, 2),
@@ -69,7 +83,7 @@ class TestSolverCore:
         def descend(objective, a, b, cfg):
             return minimize_over_joint(objective(j, a, b), cfg=cfg, extra_starts=[j.probs])
 
-        rep = descend(variational_i_objective, 2.0, 0.5, SolverConfig(max_iters=1, refine_starts=3))
+        rep = descend(variational_i_objective, 2.0, 0.5, SolverConfig(max_iters=1))
         assert rep.stop_reason == "max_iters" and rep.iterations == 1
         seen = set()
         for (a, b) in [(2.0, 0.5), (0.5, 2.0)]:
@@ -83,7 +97,7 @@ class TestSolverCore:
         # the tilted start certifies the same problems at iteration 0
         for (a, b) in [(2.0, 0.5), (0.5, 2.0)]:
             for solve in (variational_h, variational_i):
-                rep = solve(j, a, b, SolverConfig(max_iters=1, refine_starts=3))
+                rep = solve(j, a, b, SolverConfig(max_iters=1))
                 assert rep.stop_reason == "certified" and rep.iterations == 0
                 assert rep.method == "tilt" and rep.final_step == 0.0
 
@@ -233,3 +247,28 @@ class TestCertificate:
                     assert rep.stop_reason != "certified" and rep.iterations > 0, case
                     assert abs(rep.minimum - t) <= max(1e-4, rep.gap), case
                     assert rep.minimum - rep.gap <= t, case
+
+
+class TestBenchContract:
+    """The names and shapes the layer benchmark reads from this module."""
+
+    def test_solver_config_still_takes_refine_starts(self):
+        cfg = SolverConfig(max_iters=2500, refine_starts=3)
+        assert cfg.max_iters == 2500
+
+    def test_mirror_descent_signature_and_result(self, rng, monkeypatch):
+        params = list(inspect.signature(simplex_opt.mirror_descent).parameters)
+        assert params == ["obj", "starts", "mask", "cfg"]
+        descent, calls = simplex_opt.mirror_descent, []
+
+        def recorded(*args, **kwargs):
+            result = descent(*args, **kwargs)
+            calls.append((args, kwargs, result))
+            return result
+
+        monkeypatch.setattr(simplex_opt, "mirror_descent", recorded)
+        cfg = SolverConfig(max_iters=3)
+        minimize_over_joint(kl_objective(random_joint(rng, 2, 3)), cfg=cfg)
+        (args, kwargs, result), = calls
+        assert not kwargs and args[3] is cfg
+        assert len(result) == 6 and result[4] == cfg.max_iters
