@@ -1,10 +1,11 @@
 """Command-line surface.
 
 Subcommands: measure, exponent {pa|sc}, variational {h|i}, simulate
-{pa|sc}, verify, sweep. Sweep-style outputs are RFC-4180 CSV with a
-leading comment line recording tool version, seed, and tolerances; single
-reports are JSON. Values are in bits unless --nats rescales them (by ln 2,
-at the output boundary only).
+{pa|sc}, verify, and sweep, an alias of measure for htilde/itilde on a
+joint that writes cmd=sweep in its comment line. Sweep-style outputs are
+RFC-4180 CSV with a leading comment line recording tool version, seed,
+and tolerances; single reports are JSON. Values are in bits unless
+--nats rescales them (by ln 2, at the output boundary only).
 
 Exit codes: 0 success, 2 config/parse errors, 3 enumeration/dimension cap
 violations, 4 verification failures present.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -30,7 +32,6 @@ from .errors import (
     EnumerationCap,
     RenyinfoError,
     SizeOverflow,
-    UndefinedCorner,
 )
 from .exponents import (
     ExponentConfig,
@@ -40,10 +41,14 @@ from .exponents import (
     sc_exponent,
 )
 from .measures import (
+    BRANCH_CORNER,
+    BRANCH_UNDEFINED,
     H_VARIANTS,
     I_VARIANTS,
+    SLICE_BETAS,
     cond_entropy_variant,
     mutual_info_variant,
+    order_branch,
     renyi_divergence,
     renyi_entropy,
 )
@@ -58,7 +63,7 @@ from .protocol import (
     sc_expected_divergence_mc,
 )
 from .simplex_opt import SolverConfig, variational_h, variational_i
-from .two_param import h_tilde, i_tilde
+from .two_param import h_tilde, h_tilde_grid, i_tilde, i_tilde_grid
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -67,7 +72,8 @@ EXIT_VERIFY = 4
 
 LN2 = math.log(2.0)
 
-JOINT_QUANTITIES = tuple(H_VARIANTS) + tuple(I_VARIANTS) + ("htilde", "itilde")
+SWEEP_QUANTITIES = ("htilde", "itilde")
+JOINT_QUANTITIES = tuple(H_VARIANTS) + tuple(I_VARIANTS) + SWEEP_QUANTITIES
 
 
 class CliError(RuntimeError):
@@ -162,10 +168,51 @@ def _write_csv(out: Optional[str], comment: str, header: list[str], rows: list[l
 # subcommands
 
 
+def _joint_rows(joint: JointPmf, quantities: list[str], alphas: list[ExtOrder],
+                betas: list[ExtOrder], strict_corner: bool, nats: bool) -> list[list]:
+    """The measure / sweep rows of a joint: one grid call per htilde/itilde
+    quantity, and one at beta in {0, 1, inf} per family for the bar/star
+    variants (their kernel slices). "h"/"i" and alpha = 1 take the variant
+    functions' own routes."""
+    rows: list[list] = []
+    slices: dict[bool, list] = {}
+    alpha_labels, beta_labels = [str(a) for a in alphas], [str(b) for b in betas]
+    for q in quantities:
+        if q in SWEEP_QUANTITIES:
+            # strict mode prints the (0, 0) corner as undefined, like (1, inf)
+            grid = (h_tilde_grid if q == "htilde" else i_tilde_grid)(joint, alphas, betas)
+            for a_label, values, branches in zip(alpha_labels, grid.values.tolist(), grid.branches):
+                for b_label, value, branch in zip(beta_labels, values, branches):
+                    if branch == BRANCH_UNDEFINED or (strict_corner and branch == BRANCH_CORNER):
+                        rows.append([q, a_label, b_label, "", BRANCH_UNDEFINED])
+                    else:
+                        rows.append([q, a_label, b_label, repr(_scale(value, nats)), branch])
+            continue
+        mutual = q in I_VARIANTS
+        for i, (a, a_label) in enumerate(zip(alphas, alpha_labels)):
+            if a.is_one or q in ("h", "i"):
+                r = (mutual_info_variant if mutual else cond_entropy_variant)(q, joint, a)
+                value, branch = r.value, r.branch
+            else:
+                if mutual not in slices:
+                    fn = i_tilde_grid if mutual else h_tilde_grid
+                    values = fn(joint, alphas, SLICE_BETAS.values()).values.tolist()
+                    slices[mutual] = [dict(zip(SLICE_BETAS, row)) for row in values]
+                value, branch = slices[mutual][i][q[1:]], order_branch(a)
+            rows.append([q, a_label, "", repr(_scale(value, nats)), branch])
+    return rows
+
+
 def cmd_measure(args) -> int:
-    obj = _load_distribution(args.input)
+    """measure, and sweep: the same command restricted to htilde/itilde on
+    a joint."""
+    sweep = args.command == "sweep"
+    obj = _load_joint(args.input) if sweep else _load_distribution(args.input)
     alphas = _parse_orders(args.alpha, "alpha")
-    betas = _parse_orders(args.beta, "beta") if args.beta else [ExtOrder.finite(1.0, allow_one=True)]
+    if args.beta or sweep:
+        betas = _parse_orders(args.beta, "beta")
+    else:
+        betas = [ExtOrder.finite(1.0, allow_one=True)]
     nats = args.nats
     rows: list[list] = []
     if isinstance(obj, Pmf):
@@ -190,29 +237,15 @@ def cmd_measure(args) -> int:
                     raise CliError(f"unknown marginal quantity {q!r}")
                 rows.append([q, str(a), "", repr(_scale(r.value, nats)), r.branch])
     else:
-        quantities = args.quantity.split(",") if args.quantity else list(JOINT_QUANTITIES)
-        for q in quantities:
-            if q in ("htilde", "itilde"):
-                fn = h_tilde if q == "htilde" else i_tilde
-                for a in alphas:
-                    for b in betas:
-                        try:
-                            r = fn(obj, (a, b), strict_corner=args.strict_corner)
-                        except UndefinedCorner:
-                            rows.append([q, str(a), str(b), "", "undefined"])
-                            continue
-                        rows.append([q, str(a), str(b), repr(_scale(r.value, nats)), r.branch])
-            elif q in H_VARIANTS:
-                for a in alphas:
-                    r = cond_entropy_variant(q, obj, a)
-                    rows.append([q, str(a), "", repr(_scale(r.value, nats)), r.branch])
-            elif q in I_VARIANTS:
-                for a in alphas:
-                    r = mutual_info_variant(q, obj, a)
-                    rows.append([q, str(a), "", repr(_scale(r.value, nats)), r.branch])
-            else:
-                raise CliError(f"unknown joint quantity {q!r}")
-    _write_csv(args.out, _runconfig(args, "measure").comment(), ["quantity", "alpha", "beta", "value", "branch"], rows)
+        known = SWEEP_QUANTITIES if sweep else JOINT_QUANTITIES
+        quantities = args.quantity.split(",") if args.quantity else list(known)
+        bad = [q for q in quantities if q not in known]
+        if bad:
+            raise CliError(f"sweep supports htilde/itilde, got {bad}" if sweep
+                           else f"unknown joint quantity {bad[0]!r}")
+        rows = _joint_rows(obj, quantities, alphas, betas, args.strict_corner, nats)
+    _write_csv(args.out, _runconfig(args, args.command).comment(),
+               ["quantity", "alpha", "beta", "value", "branch"], rows)
     return EXIT_OK
 
 
@@ -348,36 +381,12 @@ def cmd_verify(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     for r in results:
-        line = f"{'PASS' if r.passed else 'FAIL'} {r.name} (checked {r.checked}, worst {r.worst:.3e})"
+        line = (f"{'PASS' if r.passed else 'FAIL'} {r.name} "
+                f"(checked {r.checked}, worst {r.worst:.3e}, {r.seconds:.3f} s)")
         print(line)
     if not args.out:
         print(text)
     return EXIT_OK if report["all_passed"] else EXIT_VERIFY
-
-
-def cmd_sweep(args) -> int:
-    joint = _load_joint(args.input)
-    alphas = _parse_orders(args.alpha, "alpha")
-    betas = _parse_orders(args.beta, "beta")
-    quantities = args.quantity.split(",") if args.quantity else ["htilde", "itilde"]
-    bad = [q for q in quantities if q not in ("htilde", "itilde")]
-    if bad:
-        raise CliError(f"sweep supports htilde/itilde, got {bad}")
-    points = [(q, a, b) for q in quantities for a in alphas for b in betas]
-
-    def work(point):
-        q, a, b = point
-        fn = h_tilde if q == "htilde" else i_tilde
-        try:
-            r = fn(joint, (a, b), strict_corner=args.strict_corner)
-        except UndefinedCorner:
-            return [q, str(a), str(b), "", "undefined"]
-        return [q, str(a), str(b), repr(_scale(r.value, args.nats)), r.branch]
-
-    rows = [work(point) for point in points]
-    _write_csv(args.out, _runconfig(args, "sweep").comment(),
-               ["quantity", "alpha", "beta", "value", "branch"], rows)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -449,20 +458,27 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=cmd_verify)
 
-    sp = sub.add_parser("sweep", help="grid sweep of the two-parameter measures")
+    sp = sub.add_parser("sweep", help="measure restricted to htilde/itilde on a joint, "
+                                      "with both order grids required")
     sp.add_argument("--input", required=True)
     sp.add_argument("--alpha", required=True)
     sp.add_argument("--beta", required=True)
     sp.add_argument("--quantity", help="htilde,itilde (default both)")
     sp.add_argument("--strict-corner", action="store_true")
     common(sp)
-    sp.set_defaults(fn=cmd_sweep)
+    sp.set_defaults(fn=cmd_measure)
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each parse returns a fresh
+    namespace."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "simulate":
         if args.mode is None:
             args.mode = "exhaustive" if args.problem == "pa" else "exact"

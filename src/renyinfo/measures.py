@@ -33,6 +33,11 @@ divergence of the flattened joint from 1_X x P_Y or P_X x P_Y, a second
 route the collapse checks compare the kernel with. The rows come straight
 from the joint's probability matrix; no per-row distribution is built.
 
+The kernel is evaluated on a whole alphas x betas grid at once: the row
+sums depend on alpha only, so they are computed once per alpha, and the
+power mean is vectorized over alpha and beta. A single pair is the
+one-cell grid, so a grid cell and a single evaluation agree to the bit.
+
 Conventions (all logs base 2, values in bits):
 
 * power sums are evaluated in the log domain through a max-shifted
@@ -47,6 +52,7 @@ All functions are pure functions of immutable inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,7 +60,7 @@ import numpy as np
 
 from .dist import CondPmf, JointPmf, Pmf, joint_from_channel
 from .errors import AlphabetMismatch
-from .orders import ExtOrder
+from .orders import INF as INF_TAG, ONE, ZERO, ExtOrder
 
 INF = math.inf
 
@@ -62,12 +68,15 @@ BRANCH_GENERIC = "generic"
 BRANCH_ALPHA_ONE = "alpha_one"
 BRANCH_ALPHA_ZERO = "alpha_zero"
 BRANCH_ALPHA_INF = "alpha_inf"
+BRANCH_UNDEFINED = "undefined"
+BRANCH_CORNER = "corner_zero_zero"
 
 H_VARIANTS = ("h", "hstar", "hbar", "hbarstar")
 I_VARIANTS = ("i", "istar", "ibar", "ibarstar")
 
 
-def _tag_branch(a: ExtOrder) -> str:
+def order_branch(a: ExtOrder) -> str:
+    """The branch name a one-order measure reports at order a."""
     if a.is_zero:
         return BRANCH_ALPHA_ZERO
     if a.is_inf:
@@ -99,13 +108,17 @@ def logsumexp2(t: np.ndarray, axis=None) -> np.ndarray | float:
     t = np.asarray(t, dtype=np.float64)
     if t.size == 0:
         return -INF if axis is None else np.full(np.delete(t.shape, axis), -INF)
-    m = np.max(t, axis=axis, keepdims=True)
-    safe_m = np.where(np.isfinite(m), m, 0.0)
-    s = np.sum(np.exp2(t - safe_m), axis=axis, keepdims=True)
-    out = np.where(np.isfinite(m), safe_m + np.log2(np.maximum(s, 1e-300)), m)
+    m = np.maximum.reduce(t, axis=axis, keepdims=True)
+    finite = np.isfinite(m)
+    if finite.all():  # then every sum is >= 1
+        out = m + np.log2(np.add.reduce(np.exp2(t - m), axis=axis, keepdims=True))
+    else:
+        safe_m = np.where(finite, m, 0.0)
+        s = np.add.reduce(np.exp2(t - safe_m), axis=axis, keepdims=True)
+        out = np.where(finite, safe_m + np.log2(np.maximum(s, 1e-300)), m)
     if axis is None:
         return float(out.reshape(()))
-    return np.squeeze(out, axis=axis)
+    return out.squeeze(axis=axis)
 
 
 # ---------------------------------------------------------------------------
@@ -116,80 +129,134 @@ def _kernel_inputs(joint: JointPmf, mutual: bool) -> tuple[np.ndarray, np.ndarra
     """(weights, log rows, log r) of a joint, r = P_X for I~ and 1_X for H~.
 
     weights (m,) is P_Y on its support; column j of log rows (nx, m) is
-    log2 P_{X|Y}(. | y_j) with -inf at exact zeros. The joint was validated
-    when it was built, so the rows are not validated again.
+    log2 P_{X|Y}(. | y_j) with -inf at exact zeros. log r is 0 where
+    r = 0: a row entry is positive only where r is (r is P_X or 1_X), so
+    every term that reads such an entry already carries log 0 = -inf from
+    the row. The joint was validated when it was built, so the rows are not
+    validated again.
     """
     py = joint.probs.sum(axis=0)
     pos = py > 0.0
     weights = py[pos]
     logrows = log2_strict(joint.probs[:, pos] / weights)
-    logr = log2_strict(joint.probs.sum(axis=1)) if mutual else np.zeros(joint.shape[0])
+    if mutual:
+        px = joint.probs.sum(axis=1)
+        logr = np.log2(np.where(px > 0.0, px, 1.0))
+    else:
+        logr = np.zeros(joint.shape[0])
     return weights, logrows, logr
 
 
 def _inner(logrows: np.ndarray, logr: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     """log2 sum_x r(x)^(1-alpha) P_{X|y}(x)^alpha, shape (len(alphas), m).
 
-    A row entry is positive only where r is (r is P_X or 1_X), so setting
-    the -inf entries of log r to 0 changes no term: those cells already
-    carry alpha * log 0 = -inf. Holds one (k, nx, m) array plus the two of
-    the exponent sum.
+    Holds one (k, nx, m) array plus the two of the exponent sum.
     """
-    lr = np.where(np.isfinite(logr), logr, 0.0)[:, None]
     t = alphas[:, None, None] * logrows
-    t += (1.0 - alphas)[:, None, None] * lr
+    t += (1.0 - alphas)[:, None, None] * logr[:, None]
     return logsumexp2(t, axis=1)
+
+
+def _power_mean(logw: np.ndarray, inner: np.ndarray, alphas: np.ndarray,
+                betas: np.ndarray) -> np.ndarray:
+    """The kernel at finite alphas != 1 and finite betas > 0, shape
+    (len(alphas), len(betas)); ``inner`` holds the rows of :func:`_inner`
+    at ``alphas`` and ``logw`` is log2 of the weights."""
+    terms = logw + (betas / alphas[:, None])[:, :, None] * inner[:, None, :]
+    return alphas[:, None] / (betas * (alphas[:, None] - 1.0)) * logsumexp2(terms, axis=2)
 
 
 def _generic(weights, logrows, logr, alphas: np.ndarray, beta: float) -> np.ndarray:
     """The kernel at finite alphas != 1 and one finite beta > 0, vectorized
     over alpha."""
-    terms = np.log2(weights) + (beta / alphas)[:, None] * _inner(logrows, logr, alphas)
-    return alphas / (beta * (alphas - 1.0)) * logsumexp2(terms, axis=1)
+    inner = _inner(logrows, logr, alphas)
+    return _power_mean(np.log2(weights), inner, alphas, np.array([beta]))[:, 0]
 
 
 def _row_terms(logrows: np.ndarray, logr: np.ndarray, a: ExtOrder) -> np.ndarray:
-    """The row terms c_y = D_a(P_{X|y} || r), shape (m,)."""
-    if a.is_finite:
-        alpha = a.as_float()
-        return _inner(logrows, logr, np.array([alpha]))[0] / (alpha - 1.0)
+    """The row terms c_y = D_a(P_{X|y} || r) at a tag a in {0, 1, inf},
+    shape (m,). At a finite a they are _inner / (a - 1)."""
     on_row = np.isfinite(logrows)
     if a.is_zero:
         return -logsumexp2(np.where(on_row, logr[:, None], -INF), axis=0)
-    log_ratio = logrows - np.where(np.isfinite(logr), logr, 0.0)[:, None]
+    log_ratio = logrows - logr[:, None]
     if a.is_inf:
         return log_ratio.max(axis=0)
-    return np.sum(np.exp2(logrows) * np.where(on_row, log_ratio, 0.0), axis=0)
+    return np.add.reduce(np.exp2(logrows) * np.where(on_row, log_ratio, 0.0), axis=0)
 
 
-def _branch(a: ExtOrder, b: ExtOrder) -> str:
-    if a.is_zero:
-        return "corner_zero_zero" if b.is_zero else BRANCH_ALPHA_ZERO
-    if a.is_one:
-        return BRANCH_ALPHA_ONE
-    beta_line = "beta_zero" if b.is_zero else "beta_inf" if b.is_inf else ""
-    if a.is_inf:
+@functools.cache
+def _branch(a_tag: str, b_tag: str) -> str:
+    """The branch name of the order pair with these ExtOrder tags."""
+    if a_tag == ZERO:
+        return BRANCH_CORNER if b_tag == ZERO else BRANCH_ALPHA_ZERO
+    if a_tag == ONE:
+        return BRANCH_UNDEFINED if b_tag == INF_TAG else BRANCH_ALPHA_ONE
+    beta_line = "beta_zero" if b_tag == ZERO else "beta_inf" if b_tag == INF_TAG else ""
+    if a_tag == INF_TAG:
         return BRANCH_ALPHA_INF + ("_" + beta_line if beta_line else "")
     return beta_line or BRANCH_GENERIC
 
 
-def _kernel(weights, logrows, logr, a: ExtOrder, b: ExtOrder) -> tuple[float, str]:
-    """K_{a,b}(r) in bits and the name of its branch (module docstring).
+# the branches that take the weighted mean (s = 0) or the extreme
+# (s = +-inf) of the row terms
+_MEAN_BRANCHES = frozenset((BRANCH_CORNER, BRANCH_ALPHA_ONE, "beta_zero", "alpha_inf_beta_zero"))
+_EXTREME_BRANCHES = frozenset((BRANCH_ALPHA_ZERO, "beta_inf", "alpha_inf_beta_inf"))
 
-    The caller rules out the undefined pair (1, inf).
+
+def _kernel_grid(weights, logrows, logr, alphas, betas) -> tuple[np.ndarray, list[list[str]]]:
+    """K_{a,b}(r) in bits at every pair of ``alphas`` x ``betas`` (ExtOrder
+    sequences), shape (len(alphas), len(betas)), and each cell's branch name
+    (module docstring).
+
+    The finite alphas and finite betas form one vectorized generic block.
+    The other cells reuse that block's row sums, or the row terms of a tag
+    alpha, computed once per alpha. The undefined pair (1, inf) reads NaN
+    with branch "undefined".
     """
-    if a.is_finite and b.is_finite:
-        value = float(_generic(weights, logrows, logr, np.array([a.as_float()]), b.as_float())[0])
-        return value, _branch(a, b)
-    c = _row_terms(logrows, logr, a)
-    if b.is_zero or a.is_one:
-        value = float(np.sum(weights * c))
-    elif b.is_inf or a.is_zero:
-        value = float(c.max() if a.as_float() > 1.0 else c.min())
-    else:  # alpha = inf at a finite beta: s = beta
-        beta = b.as_float()
-        value = float(logsumexp2(np.log2(weights) + beta * c) / beta)
-    return value, _branch(a, b)
+    branches = [[_branch(a.tag, b.tag) for b in betas] for a in alphas]
+    values = np.full((len(alphas), len(betas)), np.nan)
+    fin_a = [i for i, a in enumerate(alphas) if a.is_finite]
+    fin_b = [j for j, b in enumerate(betas) if b.is_finite]
+    if fin_b and (fin_a or any(a.is_inf for a in alphas)):  # a generic or alpha = inf cell
+        logw = np.log2(weights)
+        bvals = np.array([betas[j].value for j in fin_b])
+    if fin_a:
+        avals = np.array([alphas[i].value for i in fin_a])
+        inner = _inner(logrows, logr, avals)
+        if fin_b:
+            block = _power_mean(logw, inner, avals, bvals)
+            if block.shape == values.shape:  # no tag order
+                values = block
+            else:
+                values[np.ix_(fin_a, fin_b)] = block
+    for i, (a, row) in enumerate(zip(alphas, branches)):
+        mean = [j for j, br in enumerate(row) if br in _MEAN_BRANCHES]
+        extreme = [j for j, br in enumerate(row) if br in _EXTREME_BRANCHES]
+        if not (mean or extreme or a.is_inf):
+            continue
+        if a.is_finite:  # c_y = D_a(P_{X|y} || r)
+            c = inner[fin_a.index(i)] / (a.value - 1.0)
+        else:
+            c = _row_terms(logrows, logr, a)
+        if mean:
+            x = np.add.reduce(weights * c)
+            for j in mean:
+                values[i, j] = x
+        if extreme:
+            x = np.maximum.reduce(c) if a.value > 1.0 else np.minimum.reduce(c)
+            for j in extreme:
+                values[i, j] = x
+        if a.is_inf and fin_b:  # s = beta
+            for j, x in zip(fin_b, logsumexp2(logw + bvals[:, None] * c, axis=1) / bvals):
+                values[i, j] = x
+    return values, branches
+
+
+def _kernel(weights, logrows, logr, a: ExtOrder, b: ExtOrder) -> tuple[float, str]:
+    """K_{a,b}(r) in bits and the name of its branch: the one-point grid."""
+    values, branches = _kernel_grid(weights, logrows, logr, (a,), (b,))
+    return float(values[0, 0]), branches[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -283,14 +350,12 @@ def renyi_entropy(p: Pmf, order) -> MeasureResult:
 # the classical variants
 
 
-# the beta at which each variant is a slice of the kernel
-_SLICE_BETA = {
-    "hbar": ExtOrder.zero(),
-    "ibar": ExtOrder.zero(),
-    "hstar": ExtOrder.finite(1.0, allow_one=True),
-    "istar": ExtOrder.finite(1.0, allow_one=True),
-    "hbarstar": ExtOrder.infinity(),
-    "ibarstar": ExtOrder.infinity(),
+# the beta at which each variant is a slice of the kernel, by the name's
+# suffix after its h / i
+SLICE_BETAS = {
+    "bar": ExtOrder.zero(),
+    "star": ExtOrder.finite(1.0, allow_one=True),
+    "barstar": ExtOrder.infinity(),
 }
 
 
@@ -335,8 +400,8 @@ def cond_entropy_variant(variant: str, joint: JointPmf, order) -> MeasureResult:
     if variant == "h":
         d = _diagonal(joint, np.ones(joint.shape[0]), a)
         return MeasureResult(-d.value, d.branch)
-    value, _ = _kernel(*_kernel_inputs(joint, mutual=False), a, _SLICE_BETA[variant])
-    return MeasureResult(0.0 - value, _tag_branch(a))
+    value, _ = _kernel(*_kernel_inputs(joint, mutual=False), a, SLICE_BETAS[variant[1:]])
+    return MeasureResult(0.0 - value, order_branch(a))
 
 
 def mutual_info_variant(variant: str, joint: JointPmf, order) -> MeasureResult:
@@ -358,5 +423,5 @@ def mutual_info_variant(variant: str, joint: JointPmf, order) -> MeasureResult:
         return MeasureResult(shannon_mi(joint), BRANCH_ALPHA_ONE)
     if variant == "i":
         return _diagonal(joint, joint.probs.sum(axis=1), a)
-    value, _ = _kernel(*_kernel_inputs(joint, mutual=True), a, _SLICE_BETA[variant])
-    return MeasureResult(value, _tag_branch(a))
+    value, _ = _kernel(*_kernel_inputs(joint, mutual=True), a, SLICE_BETAS[variant[1:]])
+    return MeasureResult(value, order_branch(a))

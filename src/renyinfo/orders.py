@@ -114,11 +114,13 @@ class OrderPair:
 
     @staticmethod
     def of(alpha, beta) -> "OrderPair":
-        a = ExtOrder.of(alpha)
+        return OrderPair(ExtOrder.of(alpha), OrderPair.beta_of(beta))
+
+    @staticmethod
+    def beta_of(beta) -> ExtOrder:
+        """Parse a beta; beta = 1 is the plain finite value, never the tag."""
         b = ExtOrder.of(beta, allow_one=True)
-        if b.is_one:
-            b = ExtOrder.finite(1.0, allow_one=True)
-        return OrderPair(a, b)
+        return ExtOrder.finite(1.0, allow_one=True) if b.is_one else b
 
     @property
     def is_corner(self) -> bool:

@@ -6,12 +6,17 @@ payload. The registry keys are behavior-named so they can be selected from
 the command line (e.g. ``--props mono-alpha,additivity``); the same checks
 back the acceptance suite.
 
-Slack is 1e-9 unless a check states otherwise.
+Slack is 1e-9 unless a check states otherwise. The checks of one
+two-parameter function at many orders (monotonicity, additivity,
+data processing, concavity and convexity, non-negativity) read all of a
+joint's orders from one grid call; the collapse check keeps its routes
+outside the kernel.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -47,7 +52,7 @@ from .sampling import (
     triple_as_joint_x_yz,
     triple_as_joint_xy_z,
 )
-from .two_param import h_tilde, i_tilde
+from .two_param import h_tilde, h_tilde_grid, i_tilde, i_tilde_grid
 
 ALPHA_GRID = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0)
 BETA_GRID = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0)
@@ -63,6 +68,7 @@ class PropertyResult:
     worst: float
     counterexample: Optional[dict] = None
     detail: str = ""
+    seconds: float = 0.0  # wall time of the check, set by run_properties
 
     def to_dict(self) -> dict:
         return {
@@ -72,6 +78,9 @@ class PropertyResult:
             "worst_violation": self.worst,
             "counterexample": self.counterexample,
             "detail": self.detail,
+            # to the millisecond, as printed: finer digits are timer noise
+            # and would make every report of a check distinct
+            "seconds": round(self.seconds, 3),
         }
 
 
@@ -118,6 +127,16 @@ def _joint_payload(j: JointPmf) -> dict:
 
 def _sizes(rng, hi=5):
     return int(rng.integers(2, hi + 1)), int(rng.integers(2, hi + 1))
+
+
+def _h_grid(j: JointPmf, alphas, betas) -> list[list[float]]:
+    """h_tilde values on alphas x betas, row i at alphas[i]."""
+    return h_tilde_grid(j, alphas, betas).values.tolist()
+
+
+def _i_grid(j: JointPmf, alphas, betas) -> list[list[float]]:
+    """i_tilde values on alphas x betas, row i at alphas[i]."""
+    return i_tilde_grid(j, alphas, betas).values.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -225,19 +244,22 @@ def check_nonneg(rng: np.random.Generator, samples: int) -> PropertyResult:
     """Entropies, divergences, and both two-parameter measures are >= 0;
     the mutual information vanishes exactly on independent joints."""
     t = _Tracker("nonneg")
-    pairs = [OrderPair.of(a, b) for a in EXT_GRID for b in EXT_GRID
+    cells = [(ia, ib, str(OrderPair.of(a, b)))
+             for ia, a in enumerate(EXT_GRID) for ib, b in enumerate(EXT_GRID)
              if not (a == 1.0 and math.isinf(b))]
     for i in range(samples):
         nx, ny = _sizes(rng, 4)
         j = random_joint(rng, nx, ny) if i % 2 == 0 else random_joint_with_zeros(rng, nx, ny)
         payload = _joint_payload(j)
-        for pair in pairs:
-            t.see(-h_tilde(j, pair).value, {"order": str(pair), **payload})
-            t.see(-i_tilde(j, pair).value, {"order": str(pair), **payload})
+        hv, iv = _h_grid(j, EXT_GRID, EXT_GRID), _i_grid(j, EXT_GRID, EXT_GRID)
+        for ia, ib, order in cells:
+            t.see(-hv[ia][ib], {"order": order, **payload})
+            t.see(-iv[ia][ib], {"order": order, **payload})
         px, py = marginal_x(j), marginal_y(j)
         indep = JointPmf(j.alphabet_x, j.alphabet_y, np.outer(px.probs, py.probs))
-        for pair in pairs[:: max(1, len(pairs) // 12)]:
-            t.see(abs(i_tilde(indep, pair).value), {"order": str(pair), "case": "independence"})
+        iv = _i_grid(indep, EXT_GRID, EXT_GRID)
+        for ia, ib, order in cells[:: max(1, len(cells) // 12)]:
+            t.see(abs(iv[ia][ib]), {"order": order, "case": "independence"})
     return t.result()
 
 
@@ -321,10 +343,12 @@ def check_mono_alpha(rng: np.random.Generator, samples: int) -> PropertyResult:
         nx, ny = _sizes(rng, 5)
         j = random_joint(rng, nx, ny)
         payload = _joint_payload(j)
-        for b in EXT_GRID:
-            alphas = [a for a in EXT_GRID if not (a == 1.0 and math.isinf(b))]
-            hv = [h_tilde(j, (a, b)).value for a in alphas]
-            iv = [i_tilde(j, (a, b)).value for a in alphas]
+        hg, ig = _h_grid(j, EXT_GRID, EXT_GRID), _i_grid(j, EXT_GRID, EXT_GRID)
+        for ib, b in enumerate(EXT_GRID):
+            rows = [ia for ia, a in enumerate(EXT_GRID) if not (a == 1.0 and math.isinf(b))]
+            alphas = [EXT_GRID[ia] for ia in rows]
+            hv = [hg[ia][ib] for ia in rows]
+            iv = [ig[ia][ib] for ia in rows]
             for (a1, v1), (a2, v2) in zip(zip(alphas, hv), zip(alphas[1:], hv[1:])):
                 t.see(v2 - v1, {"measure": "h", "beta": b, "alphas": (a1, a2), **payload})
             for (a1, v1), (a2, v2) in zip(zip(alphas, iv), zip(alphas[1:], iv[1:])):
@@ -336,15 +360,14 @@ def check_mono_beta(rng: np.random.Generator, samples: int) -> PropertyResult:
     """For alpha > 1 the conditional entropy is non-increasing and the
     mutual information non-decreasing in beta; reversed for alpha < 1."""
     t = _Tracker("mono-beta")
-    betas = list(EXT_GRID)
+    alphas = (0.0, 0.25, 0.5, 0.75, 1.5, 2.0, 4.0, math.inf)
+    bs = list(EXT_GRID)
     for _ in range(samples):
         nx, ny = _sizes(rng, 5)
         j = random_joint(rng, nx, ny)
         payload = _joint_payload(j)
-        for a in (0.0, 0.25, 0.5, 0.75, 1.5, 2.0, 4.0, math.inf):
-            bs = [b for b in betas if not (a == 1.0 and math.isinf(b))]
-            hv = [h_tilde(j, (a, b)).value for b in bs]
-            iv = [i_tilde(j, (a, b)).value for b in bs]
+        hg, ig = _h_grid(j, alphas, bs), _i_grid(j, alphas, bs)
+        for a, hv, iv in zip(alphas, hg, ig):
             sign = 1.0 if a > 1.0 else -1.0
             for (b1, v1), (b2, v2) in zip(zip(bs, hv), zip(bs[1:], hv[1:])):
                 t.see(sign * (v2 - v1), {"measure": "h", "alpha": a, "betas": (b1, b2), **payload})
@@ -360,18 +383,19 @@ def check_additivity(rng: np.random.Generator, samples: int) -> PropertyResult:
         p = random_joint(rng, int(rng.integers(2, 4)), int(rng.integers(2, 4)))
         q = random_joint(rng, int(rng.integers(2, 4)), int(rng.integers(2, 4)))
         pq = product(p, q)
-        for a in ALPHA_GRID:
-            for b in BETA_GRID:
-                hs = h_tilde(p, (a, b)).value + h_tilde(q, (a, b)).value
-                t.see(abs(h_tilde(pq, (a, b)).value - hs),
-                      {"measure": "h", "order": (a, b)})
-                si = i_tilde(p, (a, b)).value + i_tilde(q, (a, b)).value
-                t.see(abs(i_tilde(pq, (a, b)).value - si),
-                      {"measure": "i", "order": (a, b)})
+        hp, hq, hpq = (_h_grid(j, ALPHA_GRID, BETA_GRID) for j in (p, q, pq))
+        ip, iq, ipq = (_i_grid(j, ALPHA_GRID, BETA_GRID) for j in (p, q, pq))
+        for ia, a in enumerate(ALPHA_GRID):
+            for ib, b in enumerate(BETA_GRID):
+                hs = hp[ia][ib] + hq[ia][ib]
+                t.see(abs(hpq[ia][ib] - hs), {"measure": "h", "order": (a, b)})
+                si = ip[ia][ib] + iq[ia][ib]
+                t.see(abs(ipq[ia][ib] - si), {"measure": "i", "order": (a, b)})
     return t.result()
 
 
-_SAME_SIDE = [(a, b) for a in ALPHA_GRID for b in BETA_GRID
+# (alpha index, beta index, order) with alpha and beta on the same side of 1
+_SAME_SIDE = [(ia, ib, (a, b)) for ia, a in enumerate(ALPHA_GRID) for ib, b in enumerate(BETA_GRID)
               if (a <= 1.0 and b <= 1.0) or (a >= 1.0 and b >= 1.0)]
 
 
@@ -385,9 +409,9 @@ def check_dpi_h(rng: np.random.Generator, samples: int) -> PropertyResult:
         j_xyz = triple_as_joint_x_yz(tr)
         j_xy = JointPmf(j_xyz.alphabet_x, tuple(f"y{k}" for k in range(tr.shape[1])),
                         tr.sum(axis=2))
-        for a, b in _SAME_SIDE:
-            t.see(h_tilde(j_xyz, (a, b)).value - h_tilde(j_xy, (a, b)).value,
-                  {"order": (a, b)})
+        finer, coarser = _h_grid(j_xyz, ALPHA_GRID, BETA_GRID), _h_grid(j_xy, ALPHA_GRID, BETA_GRID)
+        for ia, ib, order in _SAME_SIDE:
+            t.see(finer[ia][ib] - coarser[ia][ib], {"order": order})
     return t.result()
 
 
@@ -398,9 +422,9 @@ def check_dpi_i(rng: np.random.Generator, samples: int) -> PropertyResult:
     for _ in range(samples):
         pxy, pxz = markov_chain_pair(rng, int(rng.integers(2, 4)),
                                      int(rng.integers(2, 4)), int(rng.integers(2, 4)))
-        for a, b in _SAME_SIDE:
-            t.see(i_tilde(pxz, (a, b)).value - i_tilde(pxy, (a, b)).value,
-                  {"order": (a, b)})
+        processed, direct = _i_grid(pxz, ALPHA_GRID, BETA_GRID), _i_grid(pxy, ALPHA_GRID, BETA_GRID)
+        for ia, ib, order in _SAME_SIDE:
+            t.see(processed[ia][ib] - direct[ia][ib], {"order": order})
     return t.result()
 
 
@@ -414,35 +438,40 @@ def check_discard_mono(rng: np.random.Generator, samples: int) -> PropertyResult
         j_xy_z = triple_as_joint_xy_z(tr)
         j_y_z = JointPmf(tuple(f"y{k}" for k in range(tr.shape[1])),
                          j_xy_z.alphabet_y, tr.sum(axis=0))
-        for a in ALPHA_GRID:
-            for b in BETA_GRID:
-                t.see(h_tilde(j_y_z, (a, b)).value - h_tilde(j_xy_z, (a, b)).value,
-                      {"order": (a, b)})
+        kept, whole = _h_grid(j_y_z, ALPHA_GRID, BETA_GRID), _h_grid(j_xy_z, ALPHA_GRID, BETA_GRID)
+        for ia, a in enumerate(ALPHA_GRID):
+            for ib, b in enumerate(BETA_GRID):
+                t.see(kept[ia][ib] - whole[ia][ib], {"order": (a, b)})
     return t.result()
 
 
 def check_concavity_alpha(rng: np.random.Generator, samples: int) -> PropertyResult:
     """(alpha-1) H and (1-alpha) I are midpoint concave in alpha at fixed beta."""
     t = _Tracker("concavity-alpha")
-
-    def fh(j, a, b):
-        return 0.0 if a == 1.0 else (a - 1.0) * h_tilde(j, (a, b)).value
-
-    def fi(j, a, b):
-        return 0.0 if a == 1.0 else (1.0 - a) * i_tilde(j, (a, b)).value
+    # the alpha grid and its midpoints, each once
+    alphas = sorted({*ALPHA_GRID, *((a1 + a2) / 2.0 for a1 in ALPHA_GRID for a2 in ALPHA_GRID)})
+    row = {a: k for k, a in enumerate(alphas)}
 
     for _ in range(samples):
         nx, ny = _sizes(rng, 4)
         j = random_joint(rng, nx, ny)
-        for b in BETA_GRID:
+        hg, ig = _h_grid(j, alphas, BETA_GRID), _i_grid(j, alphas, BETA_GRID)
+
+        def fh(a, ib):
+            return 0.0 if a == 1.0 else (a - 1.0) * hg[row[a]][ib]
+
+        def fi(a, ib):
+            return 0.0 if a == 1.0 else (1.0 - a) * ig[row[a]][ib]
+
+        for ib, b in enumerate(BETA_GRID):
             for a1 in ALPHA_GRID:
                 for a2 in ALPHA_GRID:
                     if a2 <= a1:
                         continue
                     mid = (a1 + a2) / 2.0
-                    t.see((fh(j, a1, b) + fh(j, a2, b)) / 2.0 - fh(j, mid, b),
+                    t.see((fh(a1, ib) + fh(a2, ib)) / 2.0 - fh(mid, ib),
                           {"measure": "h", "beta": b, "alphas": (a1, a2)})
-                    t.see((fi(j, a1, b) + fi(j, a2, b)) / 2.0 - fi(j, mid, b),
+                    t.see((fi(a1, ib) + fi(a2, ib)) / 2.0 - fi(mid, ib),
                           {"measure": "i", "beta": b, "alphas": (a1, a2)})
     return t.result()
 
@@ -456,12 +485,11 @@ def check_concavity_input(rng: np.random.Generator, samples: int) -> PropertyRes
         w = random_channel(rng, nx, ny)
         p1, p2 = random_pmf(rng, nx), random_pmf(rng, nx)
         mid = Pmf(p1.alphabet, (p1.probs + p2.probs) / 2.0)
-        for a in (1.0, 1.5, 2.0, 4.0):
-            for b in (0.25, 0.5, 1.0):
-                v1 = i_tilde(joint_from_channel(p1, w), (a, b)).value
-                v2 = i_tilde(joint_from_channel(p2, w), (a, b)).value
-                vm = i_tilde(joint_from_channel(mid, w), (a, b)).value
-                t.see((v1 + v2) / 2.0 - vm, {"order": (a, b)})
+        alphas, betas = (1.0, 1.5, 2.0, 4.0), (0.25, 0.5, 1.0)
+        g1, g2, gm = (_i_grid(joint_from_channel(p, w), alphas, betas) for p in (p1, p2, mid))
+        for ia, a in enumerate(alphas):
+            for ib, b in enumerate(betas):
+                t.see((g1[ia][ib] + g2[ia][ib]) / 2.0 - gm[ia][ib], {"order": (a, b)})
     return t.result()
 
 
@@ -475,12 +503,11 @@ def check_convexity_channel(rng: np.random.Generator, samples: int) -> PropertyR
         w1, w2 = random_channel(rng, nx, ny), random_channel(rng, nx, ny)
         mid_m = (w1.matrix() + w2.matrix()) / 2.0
         wm = CondPmf.from_matrix(w1.given_alphabet, w1.target_alphabet, mid_m)
-        for a in (0.25, 0.5, 1.0):
-            for b in (0.25, 0.5, 1.0):
-                v1 = i_tilde(joint_from_channel(px, w1), (a, b)).value
-                v2 = i_tilde(joint_from_channel(px, w2), (a, b)).value
-                vm = i_tilde(joint_from_channel(px, wm), (a, b)).value
-                t.see(vm - (v1 + v2) / 2.0, {"order": (a, b)})
+        orders = (0.25, 0.5, 1.0)
+        g1, g2, gm = (_i_grid(joint_from_channel(px, w), orders, orders) for w in (w1, w2, wm))
+        for ia, a in enumerate(orders):
+            for ib, b in enumerate(orders):
+                t.see(gm[ia][ib] - (g1[ia][ib] + g2[ia][ib]) / 2.0, {"order": (a, b)})
     return t.result()
 
 
@@ -563,5 +590,8 @@ def run_properties(
     for name, stream in zip(names, streams):
         prop = registry[name]
         rng = np.random.default_rng(stream)
-        out.append(prop.fn(rng, samples or prop.default_samples))
+        t0 = time.perf_counter()
+        result = prop.fn(rng, samples or prop.default_samples)
+        result.seconds = time.perf_counter() - t0
+        out.append(result)
     return out

@@ -24,26 +24,30 @@ This module parses the order pair and applies the order-pair policy. The
 corner (alpha, beta) = (0, 0) is genuinely path dependent; the value
 returned is the beta-to-0-then-alpha-to-0 iterated limit and the result
 carries a warning (strict mode raises instead). The pair (1, inf) is left
-undefined by the theory and always raises. The curves evaluate the generic
-branch on a vector of alphas at one beta, by the same code path as a
-single generic point.
+undefined by the theory and always raises. The grids evaluate a whole
+alphas x betas table in one kernel call, and a single point is that
+call's one-cell case, so a grid cell and the scalar value are the same
+bits; in a grid the (1, inf) cell reads NaN with branch "undefined"
+instead of raising. The curves evaluate the generic branch on a vector of
+alphas at one beta.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .dist import JointPmf
 from .errors import UndefinedCorner
-from .measures import _generic, _kernel, _kernel_inputs
-from .orders import OrderPair
+from .measures import _generic, _kernel, _kernel_grid, _kernel_inputs
+from .orders import ExtOrder, OrderPair
 
 INF = math.inf
 
+_STRICT_MESSAGE = "strict mode rejects the path-dependent (0, 0) corner"
 CORNER_WARNING = (
     "the (0,0) order pair is path dependent; returning the beta-then-alpha "
     "iterated limit (other limit paths give different values)"
@@ -60,6 +64,24 @@ class TwoParamResult:
     warning: Optional[str] = None
 
 
+@dataclass(frozen=True)
+class TwoParamGrid:
+    """Values in bits on alphas x betas (row i is alphas[i]), the branch of
+    each cell, and the echoed orders. The (1, inf) cell is NaN with branch
+    "undefined"; :meth:`cell` gives one cell as a :class:`TwoParamResult`,
+    with the corner warning on the (0, 0) cell."""
+
+    values: np.ndarray
+    branches: tuple[tuple[str, ...], ...]
+    alphas: tuple[ExtOrder, ...]
+    betas: tuple[ExtOrder, ...]
+
+    def cell(self, i: int, j: int) -> TwoParamResult:
+        pair = OrderPair(self.alphas[i], self.betas[j])
+        warning = CORNER_WARNING if pair.is_corner else None
+        return TwoParamResult(float(self.values[i, j]), self.branches[i][j], pair, warning)
+
+
 def _as_pair(order) -> OrderPair:
     if isinstance(order, OrderPair):
         return order
@@ -73,7 +95,7 @@ def _check_pair(pair: OrderPair, strict_corner: bool) -> Optional[str]:
         raise UndefinedCorner("the (1, inf) order pair has no defined value")
     if pair.is_corner:
         if strict_corner:
-            raise UndefinedCorner("strict mode rejects the path-dependent (0, 0) corner")
+            raise UndefinedCorner(_STRICT_MESSAGE)
         return CORNER_WARNING
     return None
 
@@ -83,6 +105,17 @@ def _measure(joint: JointPmf, order, strict_corner: bool, mutual: bool) -> TwoPa
     warning = _check_pair(pair, strict_corner)
     value, branch = _kernel(*_kernel_inputs(joint, mutual), pair.alpha, pair.beta)
     return TwoParamResult(value if mutual else 0.0 - value, branch, pair, warning)
+
+
+def _grid(joint: JointPmf, alphas, betas, strict_corner: bool, mutual: bool) -> TwoParamGrid:
+    alphas = tuple(ExtOrder.of(a) for a in alphas)
+    betas = tuple(OrderPair.beta_of(b) for b in betas)
+    if strict_corner and any(a.is_zero for a in alphas) and any(b.is_zero for b in betas):
+        raise UndefinedCorner(_STRICT_MESSAGE)
+    values, branches = _kernel_grid(*_kernel_inputs(joint, mutual), alphas, betas)
+    values = values if mutual else 0.0 - values
+    values.flags.writeable = False
+    return TwoParamGrid(values, tuple(map(tuple, branches)), alphas, betas)
 
 
 def _curve(joint: JointPmf, alphas: np.ndarray, beta: float, mutual: bool) -> np.ndarray:
@@ -125,3 +158,19 @@ def h_tilde_curve(joint: JointPmf, alphas: np.ndarray, beta: float) -> np.ndarra
 def i_tilde_curve(joint: JointPmf, alphas: np.ndarray, beta: float) -> np.ndarray:
     """Generic-branch mutual-information values for a vector of finite alphas."""
     return _curve(joint, alphas, beta, mutual=True)
+
+
+def h_tilde_grid(joint: JointPmf, alphas: Sequence, betas: Sequence, *,
+                 strict_corner: bool = False) -> TwoParamGrid:
+    """:func:`h_tilde` at every pair of ``alphas`` x ``betas`` in one kernel
+    call, each cell equal to the scalar value. Orders may be repeated and
+    in any order. The (1, inf) cell reads NaN with branch "undefined";
+    strict mode raises if the grid holds the (0, 0) corner."""
+    return _grid(joint, alphas, betas, strict_corner, mutual=False)
+
+
+def i_tilde_grid(joint: JointPmf, alphas: Sequence, betas: Sequence, *,
+                 strict_corner: bool = False) -> TwoParamGrid:
+    """:func:`i_tilde` at every pair of ``alphas`` x ``betas``; see
+    :func:`h_tilde_grid`."""
+    return _grid(joint, alphas, betas, strict_corner, mutual=True)

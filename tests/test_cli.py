@@ -2,10 +2,16 @@ import csv
 import io
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from renyinfo import cli
 from renyinfo.cli import main
 from renyinfo.dist import JointPmf, Pmf, to_json
 from renyinfo.measures import cond_entropy_variant, mutual_info_variant
@@ -26,6 +32,35 @@ def uniform_indep_path(tmp_path):
     p = tmp_path / "uniform.json"
     p.write_text(to_json(j))
     return str(p)
+
+
+@pytest.fixture
+def zeros_43_path(tmp_path):
+    """A 4x3 joint with zero cells."""
+    j = JointPmf(("a", "b", "c", "d"), ("0", "1", "2"),
+                 [[0.2, 0.0, 0.1], [0.0, 0.05, 0.3], [0.1, 0.0, 0.1], [0.05, 0.1, 0.0]])
+    p = tmp_path / "zeros43.json"
+    p.write_text(to_json(j))
+    return str(p)
+
+
+EXT_GRID = "0,0.25,0.5,0.75,1,1.5,2,4,inf"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def fresh_process(argv):
+    """Run the CLI in a new interpreter; (exit code, stdout)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "renyinfo", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout
+
+
+def without_times(text):
+    """verify output with the per-property times blanked."""
+    text = re.sub(r", \d+\.\d{3} s\)", ", T s)", text)
+    return re.sub(r'"seconds": [0-9.e-]+', '"seconds": T', text)
 
 
 def read_csv(path):
@@ -224,6 +259,18 @@ class TestVerify:
         assert report["all_passed"] is False
         assert report["results"][0]["counterexample"]["alpha"] == 2.0
 
+    def test_reports_seconds_per_property(self, tmp_path, capsys):
+        report_path = tmp_path / "report.json"
+        rc = main(["verify", "--props", "power-concavity,mono-alpha", "--samples", "3",
+                   "--out", str(report_path)])
+        assert rc == 0
+        report = json.loads(report_path.read_text())
+        assert [r["name"] for r in report["results"]] == ["power-concavity", "mono-alpha"]
+        for r in report["results"]:
+            assert isinstance(r["seconds"], float) and r["seconds"] >= 0.0
+        out = capsys.readouterr().out
+        assert re.search(r"^PASS mono-alpha \(checked \d+, worst \S+, \d+\.\d{3} s\)$", out, re.M)
+
 
 class TestSweep:
     def test_worker_pool_preserves_order(self, joint_path, tmp_path):
@@ -235,3 +282,54 @@ class TestSweep:
         keys = [(r[0], r[1], r[2]) for r in rows]
         assert keys == sorted(keys, key=lambda k: (k[0], float(k[1]), float(k[2])))
         assert len(rows) == 12
+
+    @pytest.mark.parametrize("extra", [[], ["--nats"], ["--strict-corner"],
+                                       ["--nats", "--strict-corner"]],
+                             ids=["bits", "nats", "strict", "nats-strict"])
+    def test_sweep_is_measure_of_the_two_parameter_quantities(self, zeros_43_path, extra, capsys):
+        outs = {}
+        for cmd, quantity in (("sweep", []), ("measure", ["--quantity", "htilde,itilde"])):
+            argv = [cmd, "--input", zeros_43_path, "--alpha", EXT_GRID, "--beta", EXT_GRID]
+            assert main(argv + quantity + extra) == 0
+            outs[cmd] = capsys.readouterr().out.splitlines()
+        assert "cmd=sweep" in outs["sweep"][0]
+        assert outs["sweep"][0].replace("cmd=sweep", "cmd=measure") == outs["measure"][0]
+        assert outs["sweep"][1:] == outs["measure"][1:]
+        assert len(outs["sweep"]) == 2 + 2 * 81
+        corner = [line for line in outs["sweep"] if line.startswith("htilde,0,0,")]
+        if "--strict-corner" in extra:
+            assert corner == ["htilde,0,0,,undefined"]
+        else:
+            assert len(corner) == 1 and corner[0].endswith(",corner_zero_zero")
+
+    def test_sweep_rejects_other_quantities(self, zeros_43_path, capsys):
+        rc = main(["sweep", "--input", zeros_43_path, "--alpha", "2", "--beta", "1",
+                   "--quantity", "htilde,hbar"])
+        assert rc == 2
+        assert "sweep supports htilde/itilde, got ['hbar']" in capsys.readouterr().err
+
+
+class TestOneProcess:
+    def test_parser_is_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_repeated_calls_match_fresh_processes(self, zeros_43_path, capsys):
+        runs = [
+            ["sweep", "--input", zeros_43_path, "--alpha", "0,1,2", "--beta", "0,inf",
+             "--strict-corner", "--nats"],
+            ["measure", "--input", zeros_43_path, "--alpha", "0,0.5,1,inf", "--beta", "0,2"],
+            ["verify", "--props", "power-concavity,dpi-i", "--samples", "4", "--seed", "3"],
+            ["sweep", "--input", zeros_43_path, "--alpha", "0,1,2", "--beta", "0,inf"],
+        ]
+        outs = []
+        for argv in runs:
+            code = main(argv)
+            out = capsys.readouterr().out
+            fresh_code, fresh_out = fresh_process(argv)
+            assert code == fresh_code, argv
+            assert without_times(out) == without_times(fresh_out), argv
+            outs.append(out)
+        # no flag of the first sweep leaks into the last one
+        assert "units=nats" in outs[0] and "units=bits" in outs[3]
+        assert "htilde,0,0,,undefined" in outs[0]
+        assert "htilde,0,0,,undefined" not in outs[3]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,15 @@ from renyinfo.measures import mutual_info_variant, shannon_cond_entropy, shannon
 from renyinfo.orders import ExtOrder, OrderPair
 from renyinfo.properties import run_properties
 from renyinfo.sampling import random_joint, random_joint_with_zeros
-from renyinfo.two_param import h_tilde, h_tilde_curve, i_tilde, i_tilde_curve
+from renyinfo.two_param import (
+    CORNER_WARNING,
+    h_tilde,
+    h_tilde_curve,
+    h_tilde_grid,
+    i_tilde,
+    i_tilde_curve,
+    i_tilde_grid,
+)
 
 from conftest import bsc_joint
 
@@ -213,3 +222,90 @@ class TestStructuralProperties:
         )
         for r in results:
             assert r.passed, (r.name, r.worst, r.counterexample)
+
+
+EXT_ORDERS = (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0, math.inf)
+
+
+def _grid_joints():
+    rng = np.random.default_rng(1717)
+    cases = []
+    for nx in range(2, 6):
+        for ny in range(2, 6):
+            cases.append((f"full-{nx}x{ny}", random_joint(rng, nx, ny)))
+            cases.append((f"zeros-{nx}x{ny}", random_joint_with_zeros(rng, nx, ny)))
+    cases.append(("full-16x16", random_joint(rng, 16, 16)))
+    cases.append(("zeros-16x16", random_joint_with_zeros(rng, 16, 16)))
+    cases.append(("absent-y", JointPmf(("a", "b", "c"), ("0", "1", "2"),
+                                       [[0.2, 0.0, 0.3], [0.1, 0.0, 0.1], [0.2, 0.0, 0.1]])))
+    cases.append(("deterministic", JointPmf(("a", "b", "c"), ("0", "1", "2"), np.eye(3) / 3.0)))
+    cases.append(("uniform", JointPmf(("a", "b", "c"), ("0", "1"), np.full((3, 2), 1.0 / 6.0))))
+    return cases
+
+
+GRID_JOINTS = _grid_joints()
+
+
+def _same_bits(x: float, y: float) -> bool:
+    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+
+
+class TestGrid:
+    @pytest.mark.parametrize("name,joint", GRID_JOINTS, ids=[c[0] for c in GRID_JOINTS])
+    def test_grid_is_bitwise_the_scalar(self, name, joint):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for grid_fn, fn in ((h_tilde_grid, h_tilde), (i_tilde_grid, i_tilde)):
+                grid = grid_fn(joint, EXT_ORDERS, EXT_ORDERS)
+                assert grid.values.shape == (9, 9)
+                for i, a in enumerate(EXT_ORDERS):
+                    for j, b in enumerate(EXT_ORDERS):
+                        if a == 1.0 and math.isinf(b):
+                            continue
+                        want = fn(joint, (a, b))
+                        got = grid.cell(i, j)
+                        assert _same_bits(got.value, want.value), (a, b, got.value, want.value)
+                        assert got.branch == want.branch
+                        assert got.warning == want.warning
+                        assert got.order == want.order
+
+    def test_unsorted_and_repeated_orders(self, rng):
+        j = random_joint_with_zeros(rng, 4, 3)
+        alphas = [2.0, 0.0, "inf", 0.5, 2.0, 1, 0.3]
+        betas = [math.inf, 1.0, 0.0, 0.7, 1.0, 3.0]
+        for grid_fn, fn in ((h_tilde_grid, h_tilde), (i_tilde_grid, i_tilde)):
+            grid = grid_fn(j, alphas, betas)
+            assert grid.values.shape == (len(alphas), len(betas))
+            for i, a in enumerate(alphas):
+                for k, b in enumerate(betas):
+                    if grid.branches[i][k] == "undefined":
+                        continue
+                    assert _same_bits(grid.values[i, k], fn(j, (a, b)).value), (a, b)
+            assert np.array_equal(grid.values[0], grid.values[4])
+            assert np.array_equal(grid.values[:, 1], grid.values[:, 4])
+
+    def test_one_inf_cell_is_nan_and_undefined(self, rng):
+        j = random_joint(rng, 3, 2)
+        for grid_fn in (h_tilde_grid, i_tilde_grid):
+            grid = grid_fn(j, [0.5, 1.0], [2.0, math.inf])
+            assert math.isnan(grid.values[1, 1])
+            assert grid.branches[1][1] == "undefined"
+            assert not np.isnan(np.delete(grid.values.ravel(), 3)).any()
+
+    def test_corner_cell_warns_and_strict_mode_raises(self, rng):
+        j = random_joint(rng, 3, 3)
+        for grid_fn in (h_tilde_grid, i_tilde_grid):
+            grid = grid_fn(j, [0.0, 2.0], [0.0, 0.5])
+            assert grid.cell(0, 0).warning == CORNER_WARNING
+            assert grid.cell(0, 0).branch == "corner_zero_zero"
+            assert grid.cell(0, 1).warning is None and grid.cell(1, 0).warning is None
+            with pytest.raises(UndefinedCorner):
+                grid_fn(j, [0.0, 2.0], [0.0, 0.5], strict_corner=True)
+            # strict mode only rejects grids that hold the corner
+            strict = grid_fn(j, [0.0, 2.0], [0.5], strict_corner=True)
+            assert np.array_equal(strict.values, grid.values[:, 1:])
+
+    def test_grid_values_are_read_only(self, rng):
+        grid = h_tilde_grid(random_joint(rng, 2, 2), [2.0], [0.5])
+        with pytest.raises(ValueError):
+            grid.values[0, 0] = 0.0
