@@ -4,12 +4,21 @@ Privacy amplification: exact pushforward of a joint through enumerable
 hash tables, exhaustive minimization of the order-beta divergence from the
 ideal uniform-and-independent target, and sampling from the bit-affine
 2-universal family. Soft covering: the exact codebook-ensemble divergence
-of an i.i.d. random code (full enumeration under a cap) and a seeded
-Monte-Carlo estimator with jackknife standard errors, checked against the
-one-shot converse bounds.
+of an i.i.d. random code and a seeded Monte-Carlo estimator with jackknife
+standard errors, checked against the one-shot converse bounds.
+
+The exact enumerations visit one representative per symmetry class. The
+PA divergence does not change when hash outputs are relabelled, so the
+minimum runs over set partitions of X into at most M blocks, written as
+restricted growth strings. The SC ensemble depends only on the multiset of
+codewords, so the expectation runs over multisets with multinomial
+weights. Both work in blocks of at most ``_CHUNK`` classes.
 
 This is a verification rig, not a scalable tool: enumeration caps keep
-everything tiny by design. Identical seeds produce bit-identical records.
+everything tiny by design. The caps count the ordered objects (M^|X| hash
+tables, |supp P_X|^(n M) codebooks), so which inputs are accepted does not
+depend on the symmetry reduction. Identical seeds produce bit-identical
+records.
 """
 
 from __future__ import annotations
@@ -30,11 +39,16 @@ from .errors import (
     NonPowerOfTwoAlphabet,
 )
 from .exponents import sc_one_shot_bound
-from .measures import renyi_divergence
+from .measures import _divergence
+from .orders import ExtOrder
 
 HASH_ENUMERATION_CAP = 1_000_000
 CODEBOOK_ENUMERATION_CAP = 1_000_000
 _CHUNK = 4096
+# Tie rule of pa_min_divergence_exhaustive: partitions within this many bits
+# of the minimum count as minimizers, and the lexicographically first
+# restricted growth string among them is returned.
+PA_TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -116,26 +130,31 @@ def m_from_rate(n: int, rate_bits: float) -> tuple[int, str]:
 # privacy amplification
 
 
-def pa_apply_hash(joint_n: JointPmf, h: HashSpec) -> JointPmf:
-    """Exact pushforward of the joint through z = h(x): the induced joint
-    on Z x Y sums the preimage rows."""
+def _induced(joint_n: JointPmf, h: HashSpec) -> np.ndarray:
+    """The (M, |Y|) array of the joint pushed through z = h(x)."""
     if len(h.table) != len(joint_n.alphabet_x):
         raise DomainMismatch(
             f"hash table covers {len(h.table)} symbols, joint has {len(joint_n.alphabet_x)}"
         )
     out = np.zeros((h.range_size, len(joint_n.alphabet_y)))
     np.add.at(out, np.asarray(h.table), joint_n.probs)
+    return out
+
+
+def pa_apply_hash(joint_n: JointPmf, h: HashSpec) -> JointPmf:
+    """Exact pushforward of the joint through z = h(x): the induced joint
+    on Z x Y sums the preimage rows."""
     labels_z = tuple(f"z{k}" for k in range(h.range_size))
-    return JointPmf(labels_z, joint_n.alphabet_y, out)
+    return JointPmf(labels_z, joint_n.alphabet_y, _induced(joint_n, h))
 
 
-def _pa_divergence_batch(r: np.ndarray, py: np.ndarray, beta: float) -> np.ndarray:
-    """D_beta(R || 1_Z/M x P_Y) for a stack of induced joints r (..., M, ny).
+def _pa_divergence_batch(r: np.ndarray, py: np.ndarray, beta: float, m: int) -> np.ndarray:
+    """D_beta(R || 1_Z/M x P_Y) for a stack of induced joints r (..., k, ny).
 
-    The induced joint is always dominated by the ideal (r(z,y) <= py(y)),
-    so no support violation can occur for any beta.
+    The k rows are the first k of the M hash outputs; the M - k others carry
+    no mass and add nothing. The induced joint is always dominated by the
+    ideal (r(z,y) <= py(y)), so no support violation can occur for any beta.
     """
-    m = r.shape[-2]
     ref = py[None, :] / m
     pos = r > 0.0
     if beta == 1.0:
@@ -149,13 +168,51 @@ def _pa_divergence_batch(r: np.ndarray, py: np.ndarray, beta: float) -> np.ndarr
 
 def pa_divergence(joint_n: JointPmf, h: HashSpec, beta: float) -> float:
     """Divergence of one hash's induced joint from the ideal, in bits."""
-    induced = pa_apply_hash(joint_n, h)
-    py = marginal_y(joint_n)
-    labels = tuple(f"{z}/{y}" for z in induced.alphabet_x for y in induced.alphabet_y)
-    p = Pmf(labels, induced.probs.reshape(-1))
-    ideal = np.tile(py.probs / h.range_size, (h.range_size, 1))
-    q = Pmf(labels, ideal.reshape(-1))
-    return renyi_divergence(p, q, beta).value
+    induced = _induced(joint_n, h)
+    ideal = np.tile(joint_n.probs.sum(axis=0) / h.range_size, (h.range_size, 1))
+    return _divergence(induced.ravel(), ideal.ravel(), ExtOrder.of(beta)).value
+
+
+def _rgs_blocks(p: np.ndarray, k: int):
+    """Every restricted growth string over the len(p) rows of p with labels
+    below k, in lexicographic order, as blocks (labels (B, len(p)), induced
+    joints (B, k, |Y|)) of at most ``_CHUNK`` strings.
+
+    A restricted growth string labels row 0 with 0 and each later row with
+    at most one more than the largest label so far: it is the
+    lexicographically smallest table of its set partition. Strings grow one
+    row at a time and carry their prefix's induced joint, so each level adds
+    one row per string; a level is split whenever it would exceed the block
+    size, which bounds the working set by depth x ``_CHUNK`` strings.
+    """
+    d = len(p)
+
+    def grow(labels, top, induced):
+        row = labels.shape[1]
+        if row == d:
+            yield labels, induced
+            return
+        counts = np.minimum(top + 2, k)
+        ends = np.cumsum(counts)
+        lo = 0
+        while lo < len(counts):
+            base = ends[lo - 1] if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(ends, base + _CHUNK, side="right")))
+            c = counts[lo:hi]
+            parent = np.repeat(np.arange(lo, hi), c)
+            label = np.arange(len(parent)) - np.repeat(ends[lo:hi] - c - base, c)
+            child = induced[parent]
+            child[np.arange(len(parent)), label] += p[row]
+            yield from grow(
+                np.concatenate([labels[parent], label[:, None]], axis=1),
+                np.maximum(top[parent], label),
+                child,
+            )
+            lo = hi
+
+    first = np.zeros((1, k, p.shape[1]))
+    first[0, 0] = p[0]
+    yield from grow(np.zeros((1, 1), dtype=np.intp), np.zeros(1, dtype=np.intp), first)
 
 
 def pa_min_divergence_exhaustive(
@@ -163,8 +220,15 @@ def pa_min_divergence_exhaustive(
 ) -> tuple[float, HashSpec]:
     """Minimum order-beta divergence over all M^|X| hash tables.
 
-    Tables are enumerated in lexicographic order and ties keep the first
-    (lexicographically smallest) minimizer.
+    Relabelling the hash outputs permutes the rows of the induced joint and
+    leaves its divergence from 1_Z/M x P_Y unchanged, so the minimum runs
+    over the set partitions of X into at most M blocks, each written as its
+    restricted growth string (RGS), in lexicographic order. The cap still
+    counts the M^|X| tables.
+
+    Tie rule: among the partitions within ``PA_TIE_TOL`` bits of the
+    minimum, the returned table is the lexicographically first RGS, and the
+    returned value is that table's own divergence.
     """
     d = len(joint_n.alphabet_x)
     total = m**d
@@ -172,24 +236,22 @@ def pa_min_divergence_exhaustive(
         raise EnumerationCap(f"{m}^{d} = {total} hash tables exceed cap {cap}")
     p = joint_n.probs
     py = p.sum(axis=0)
-    best_val = math.inf
-    best_table: Optional[tuple[int, ...]] = None
-    it = itertools.product(range(m), repeat=d)
-    while True:
-        chunk = list(itertools.islice(it, _CHUNK))
-        if not chunk:
-            break
-        tables = np.asarray(chunk)  # (B, d)
-        onehot = tables[:, :, None] == np.arange(m)[None, None, :]
-        induced = np.einsum("bdm,dy->bmy", onehot.astype(np.float64), p)
-        vals = _pa_divergence_batch(induced, py, beta)
-        j = int(np.argmin(vals))
-        if vals[j] < best_val:
-            best_val = float(vals[j])
-            best_table = tuple(int(z) for z in tables[j])
-    if best_table is None:
+    best = math.inf
+    # the tie rule's table is a strict running-minimum record (an earlier
+    # partition at or below its value would come first), so keep the records
+    # still within PA_TIE_TOL of the running minimum; the first one wins
+    records: list[tuple[float, np.ndarray]] = []
+    for labels, induced in _rgs_blocks(p, min(m, d)):
+        vals = _pa_divergence_batch(induced, py, beta, m)
+        run = np.fmin.accumulate(np.concatenate(([best], vals)))
+        best = float(run[-1])
+        new = np.flatnonzero(vals < run[:-1])
+        records = [r for r in records if r[0] <= best + PA_TIE_TOL]
+        records += [(float(vals[i]), labels[i].copy()) for i in new if vals[i] <= best + PA_TIE_TOL]
+    if not records:
         raise RuntimeError(f"no hash table of {m}^{d} gave a divergence below +inf")
-    return best_val, HashSpec(best_table, m, "exhaustive-min")
+    value, table = records[0]
+    return value, HashSpec(tuple(int(z) for z in table), m, "exhaustive-min")
 
 
 def _bit_matrix(count: int, bits: int) -> np.ndarray:
@@ -240,7 +302,7 @@ def pa_universal_family_divergence(
     py = p.sum(axis=0)
     onehot = tables[:, :, None] == np.arange(m)[None, None, :]
     induced = np.einsum("bdm,dy->bmy", onehot.astype(np.float64), p)
-    vals = _pa_divergence_batch(induced, py, beta)
+    vals = _pa_divergence_batch(induced, py, beta, m)
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else None
     return SimRecord(
@@ -268,15 +330,14 @@ def _channel_power(px: Pmf, pyx: CondPmf, n: int) -> tuple[np.ndarray, np.ndarra
     if pyx.given_alphabet != px.alphabet:
         raise DomainMismatch("channel must condition on the input alphabet")
     supp = px.support
-    rows1 = [pyx.row(int(i)).probs for i in supp]
+    rows1 = np.stack([pyx.row(int(i)).probs for i in supp])
     probs1 = px.probs[supp]
     seq_probs = probs1.copy()
-    seq_rows = np.stack(rows1)
+    seq_rows = rows1
     for _ in range(n - 1):
         seq_probs = np.kron(seq_probs, probs1)
-        seq_rows = np.stack(
-            [np.kron(a, b) for a in seq_rows for b in rows1]
-        )
+        # row (i, j) is kron(seq_rows[i], rows1[j])
+        seq_rows = (seq_rows[:, None, :, None] * rows1[None, :, None, :]).reshape(len(seq_probs), -1)
     py1 = marginal_y(joint_from_channel(px, pyx)).probs
     pyn = reduce(np.kron, [py1] * n)
     return seq_probs, seq_rows, pyn
@@ -311,8 +372,13 @@ def sc_expected_divergence_exact(
 
     For beta != 1 this is (1/(beta-1)) log2 of the exact ensemble
     expectation of the inner power sum; for beta = 1 it is the exact
-    expected relative entropy. Enumerates all |supp P_X|^(n M) ordered
-    codebooks (cap enforced).
+    expected relative entropy.
+
+    The output distribution of a codebook depends only on its multiset of
+    codewords, so the expectation runs over the multisets of M sequences
+    from supp(P_X)^n, each weighted by its probability under i.i.d.
+    drawing, M!/prod_i k_i! * prod_i p_i^k_i, computed in the log domain.
+    The cap still counts the |supp P_X|^(n M) ordered codebooks.
     """
     beta = float(beta)
     seq_probs, seq_rows, pyn = _channel_power(px, pyx, n)
@@ -320,16 +386,23 @@ def sc_expected_divergence_exact(
     total = s ** m
     if total > cap:
         raise EnumerationCap(f"{s}^{m} = {total} codebooks exceed cap {cap}")
+    logp = np.log(seq_probs)
+    log_fact = np.array([math.lgamma(k + 1) for k in range(m + 1)])
+    pos = np.arange(m)
     acc = 0.0
-    it = itertools.product(range(s), repeat=m)
+    it = itertools.combinations_with_replacement(range(s), m)
     while True:
         chunk = list(itertools.islice(it, _CHUNK))
         if not chunk:
             break
-        idx = np.asarray(chunk)  # (B, M)
+        idx = np.asarray(chunk)  # (B, M), each row non-decreasing
+        # runs of equal codewords: k_i is the length of run i, read at its end
+        first = np.diff(idx, axis=1, prepend=-1) != 0
+        last = np.concatenate([first[:, 1:], np.ones((len(idx), 1), dtype=bool)], axis=1)
+        k = pos - np.maximum.accumulate(np.where(first, pos, 0), axis=1) + 1
+        log_w = log_fact[m] - np.where(last, log_fact[k], 0.0).sum(axis=1) + logp[idx].sum(axis=1)
         pyc = seq_rows[idx].mean(axis=1)  # (B, |Y|^n)
-        wts = seq_probs[idx].prod(axis=1)
-        acc += float(np.sum(wts * _sc_inner(pyc, pyn, beta)))
+        acc += float(np.sum(np.exp(log_w) * _sc_inner(pyc, pyn, beta)))
     value = acc if beta == 1.0 else math.log2(acc) / (beta - 1.0)
     return SimRecord(n, m, beta, value, "exact-enumeration")
 

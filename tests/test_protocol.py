@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -19,9 +20,12 @@ from renyinfo.errors import (
     NonPowerOfTwoAlphabet,
 )
 from renyinfo.exponents import pa_exponent
+from renyinfo import protocol
 from renyinfo.measures import cond_entropy_variant, mutual_info_variant
 from renyinfo.protocol import (
+    PA_TIE_TOL,
     HashSpec,
+    _channel_power,
     check_one_shot_sc_bound,
     m_from_rate,
     pa_apply_hash,
@@ -108,6 +112,99 @@ class TestExhaustivePa:
                 assert scaled >= math.log2(m) - h_tilde(j, (alpha, beta)).value - 1e-10
 
 
+def _with_zero_cells(j, rng, frac=0.3):
+    p = j.probs.copy()
+    p[rng.random(p.shape) < frac] = 0.0
+    if p.sum() == 0.0:
+        p[0, 0] = 1.0
+    return JointPmf(j.alphabet_x, j.alphabet_y, p / p.sum())
+
+
+def _is_rgs(table):
+    top = -1
+    for z in table:
+        if z > top + 1:
+            return False
+        top = max(top, z)
+    return True
+
+
+class TestExhaustivePaBruteForce:
+    """The partition enumeration against every one of the M^|X| tables,
+    each evaluated on its own through pa_divergence."""
+
+    @staticmethod
+    def _brute(j, m, beta):
+        tables = itertools.product(range(m), repeat=len(j.alphabet_x))
+        return [(pa_divergence(j, HashSpec(t, m), beta), t) for t in tables]
+
+    def _check(self, j, m, beta):
+        val, h = pa_min_divergence_exhaustive(j, m, beta)
+        brute = self._brute(j, m, beta)
+        lo = min(v for v, _ in brute)
+        assert val == pytest.approx(lo, abs=1e-12), (m, beta)
+        assert _is_rgs(h.table) and h.range_size == m
+        assert pa_divergence(j, h, beta) == pytest.approx(val, abs=1e-12)
+        # tie rule: the first RGS within PA_TIE_TOL of the minimum
+        first = next(t for v, t in brute if _is_rgs(t) and v <= lo + PA_TIE_TOL)
+        assert h.table == first, (m, beta)
+
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 1.0, 2.0])
+    def test_random_joints_with_zero_cells(self, rng, beta):
+        for nx, ny, m in ((4, 2, 2), (4, 3, 3), (5, 2, 3), (3, 3, 2)):
+            j = random_joint(rng, nx, ny)
+            self._check(j, m, beta)
+            self._check(_with_zero_cells(j, rng), m, beta)
+
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 1.0, 2.0])
+    def test_single_output_more_outputs_than_symbols_and_one_symbol(self, rng, beta):
+        j = random_joint(rng, 3, 2)
+        for m in (1, 4, 5):
+            self._check(j, m, beta)
+        for m in (1, 2, 3):
+            self._check(random_joint(rng, 1, 3), m, beta)
+
+    def test_two_fold_power(self, rng):
+        j2 = iid_power(_with_zero_cells(random_joint(rng, 2, 2), rng), 2)
+        for beta in (0.3, 1.0, 2.0):
+            self._check(j2, 3, beta)
+
+    def test_exact_ties_return_first_string(self):
+        # all four rows equal: every partition into two blocks of two ties
+        j = JointPmf(("a", "b", "c", "d"), ("u", "v"), [[0.1, 0.15]] * 4)
+        val, h = pa_min_divergence_exhaustive(j, 2, 0.5)
+        assert h.table == (0, 0, 1, 1)
+        assert val == pytest.approx(0.0, abs=1e-12)
+
+    def test_near_ties_return_first_string(self):
+        # the swapped-coordinate partitions of a 2-fold power tie up to
+        # rounding; the minimum sits on a later string than the first tie
+        j2 = iid_power(bsc_joint(0.1), 2)
+        for beta in (0.3, 0.5, 1.0, 2.0):
+            self._check(j2, 3, beta)
+        assert pa_min_divergence_exhaustive(j2, 3, 0.3)[1].table == (0, 1, 1, 2)
+
+    def test_small_blocks_give_the_same_answer(self, rng, monkeypatch):
+        # blocks split every level and carry the tie records across blocks
+        cases = [(iid_power(bsc_joint(0.1), 2), 3, 0.3), (random_joint(rng, 6, 2), 3, 0.5)]
+        want = [pa_min_divergence_exhaustive(j, m, b) for j, m, b in cases]
+        monkeypatch.setattr(protocol, "_CHUNK", 2)
+        assert [pa_min_divergence_exhaustive(j, m, b) for j, m, b in cases] == want
+        for j, m, b in cases:
+            self._check(j, m, b)
+
+    def test_cap_counts_tables(self, rng):
+        j = random_joint(rng, 4, 2)
+        pa_min_divergence_exhaustive(j, 3, 0.5, cap=81)
+        with pytest.raises(EnumerationCap):
+            pa_min_divergence_exhaustive(j, 3, 0.5, cap=80)
+
+    def test_divergence_domain_mismatch(self, rng):
+        j = random_joint(rng, 3, 2)
+        with pytest.raises(DomainMismatch):
+            pa_divergence(j, HashSpec((0, 1), 2), 0.5)
+
+
 class TestAffineFamily:
     def test_uniform_independent_attains_near_zero(self):
         j = JointPmf(("a", "b", "c", "d"), ("y",), [[0.25]] * 4)
@@ -175,6 +272,78 @@ class TestScExact:
         pyx = random_channel(rng, 3, 2)
         with pytest.raises(EnumerationCap):
             sc_expected_divergence_exact(px, pyx, 3, 4, 0.5, cap=1000)
+
+
+def _ordered_expectation(px, pyx, n, m, beta):
+    """E over ordered i.i.d. codebooks of sum_y P_{Y|C}^beta P_Y^(1-beta),
+    or of D(P_{Y|C} || P_Y) at beta = 1, by plain enumeration."""
+    w = pyx.matrix()
+    supp = [i for i, v in enumerate(px.probs) if v > 0.0]
+    ys = list(itertools.product(range(w.shape[1]), repeat=n))
+    seqs = list(itertools.product(supp, repeat=n))
+    prob = [math.prod(px.probs[x] for x in s) for s in seqs]
+    rows = [[math.prod(w[x, y] for x, y in zip(s, yy)) for yy in ys] for s in seqs]
+    py = [sum(p * r[k] for p, r in zip(prob, rows)) for k in range(len(ys))]
+    total = 0.0
+    for book in itertools.product(range(len(seqs)), repeat=m):
+        weight = math.prod(prob[c] for c in book)
+        out = [sum(rows[c][k] for c in book) / m for k in range(len(ys))]
+        if beta == 1.0:
+            inner = sum(o * math.log2(o / q) for o, q in zip(out, py) if o > 0.0)
+        else:
+            inner = sum(o**beta * q ** (1.0 - beta) for o, q in zip(out, py) if o > 0.0)
+        total += weight * inner
+    return total
+
+
+class TestScExactMultisets:
+    """The multiset sum against ordered enumeration written out here."""
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    def test_matches_ordered_enumeration(self, rng, beta):
+        binary = (random_pmf(rng, 2), random_channel(rng, 2, 2))
+        pyx3 = random_channel(rng, 3, 2)
+        zero_mass = (Pmf(pyx3.given_alphabet, [0.3, 0.0, 0.7]), pyx3)
+        for px, pyx in (binary, zero_mass):
+            for n, m in ((1, 1), (1, 4), (2, 1), (2, 3), (3, 2)):
+                rec = sc_expected_divergence_exact(px, pyx, n, m, beta)
+                want = _ordered_expectation(px, pyx, n, m, beta)
+                got = rec.value_bits if beta == 1.0 else 2.0 ** ((beta - 1.0) * rec.value_bits)
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-15), (n, m)
+
+    def test_point_mass_input_at_large_m(self, rng):
+        # every codeword is the same sequence, so the output is exactly P_Y
+        # and the multinomial weight of the one multiset must be exactly 1
+        pyx = random_channel(rng, 2, 3)
+        px = Pmf(pyx.given_alphabet, [0.0, 1.0])
+        for beta in (0.5, 1.0, 2.0):
+            rec = sc_expected_divergence_exact(px, pyx, 3, 500, beta)
+            assert rec.value_bits == pytest.approx(0.0, abs=1e-13)
+
+    def test_small_blocks_give_the_same_answer(self, rng, monkeypatch):
+        px, pyx = random_pmf(rng, 2), random_channel(rng, 2, 2)
+        want = sc_expected_divergence_exact(px, pyx, 2, 3, 0.5).value_bits
+        monkeypatch.setattr(protocol, "_CHUNK", 3)
+        got = sc_expected_divergence_exact(px, pyx, 2, 3, 0.5).value_bits
+        assert got == pytest.approx(want, abs=1e-14)
+
+    def test_cap_counts_ordered_codebooks(self, rng):
+        px, pyx = random_pmf(rng, 2), random_channel(rng, 2, 2)
+        sc_expected_divergence_exact(px, pyx, 1, 3, 0.5, cap=8)
+        with pytest.raises(EnumerationCap):
+            sc_expected_divergence_exact(px, pyx, 1, 3, 0.5, cap=7)
+
+    def test_channel_power_equals_kron_construction(self, rng):
+        for _ in range(20):
+            nx, ny = (int(v) for v in rng.integers(2, 4, size=2))
+            px, pyx = random_pmf(rng, nx), random_channel(rng, nx, ny)
+            rows1 = [pyx.row(i).probs for i in range(nx)]
+            want = np.stack(rows1)
+            for n in range(1, 5):
+                probs, rows, _ = _channel_power(px, pyx, n)
+                assert np.array_equal(rows, want), n
+                assert len(probs) == len(rows)
+                want = np.stack([np.kron(a, b) for a in want for b in rows1])
 
 
 class TestScMonteCarlo:
