@@ -342,11 +342,14 @@ def cmd_simulate(args) -> int:
                 m, note = m_from_rate(args.n, args.rate)
             else:
                 m, note = args.m, ""
-            if args.mode == "exact":
-                rec = sc_expected_divergence_exact(px, pyx, args.n, m, b)
-            else:
-                rec = sc_expected_divergence_mc(px, pyx, args.n, m, b,
-                                                n_samples=args.samples, seed=args.seed)
+            try:
+                if args.mode == "exact":
+                    rec = sc_expected_divergence_exact(px, pyx, args.n, m, b)
+                else:
+                    rec = sc_expected_divergence_mc(px, pyx, args.n, m, b,
+                                                    n_samples=args.samples, seed=args.seed)
+            except ValueError as e:  # n, M, beta or the sample count out of range
+                raise CliError(str(e))
             if note:
                 rec = type(rec)(rec.n, rec.M, rec.beta, rec.value_bits, rec.estimator,
                                 rec.stderr, rec.seed, (rec.note + "; " + note).strip("; "))

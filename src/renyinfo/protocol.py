@@ -12,7 +12,18 @@ PA divergence does not change when hash outputs are relabelled, so the
 minimum runs over set partitions of X into at most M blocks, written as
 restricted growth strings. The SC ensemble depends only on the multiset of
 codewords, so the expectation runs over multisets with multinomial
-weights. Both work in blocks of at most ``_CHUNK`` classes.
+weights. Both work in blocks of at most ``_CHUNK`` classes. At beta = inf
+the PA divergence is the largest log ratio over the cells with mass.
+
+The Monte-Carlo ensemble draws its codebooks in blocks of ``_CHUNK``, one
+RNG stream per block. With s = |supp P_X|^n sequences there are only s^M
+ordered codebooks; when they number at most ``_CHUNK``, the inner sum of
+each is computed once and every draw reads its entry, and otherwise every
+draw is evaluated on its own; the two paths give the same records. Every
+codebook's output distribution, exact enumeration included, is its M
+codeword rows added in order and divided by M: the bits of numpy's mean
+over the codewords. Both ensembles require n >= 1, M >= 1 and a finite
+beta >= 0.
 
 This is a verification rig, not a scalable tool: enumeration caps keep
 everything tiny by design. The caps count the ordered objects (M^|X| hash
@@ -154,13 +165,16 @@ def _pa_divergence_batch(r: np.ndarray, py: np.ndarray, beta: float, m: int) -> 
     The k rows are the first k of the M hash outputs; the M - k others carry
     no mass and add nothing. The induced joint is always dominated by the
     ideal (r(z,y) <= py(y)), so no support violation can occur for any beta.
+    At beta = inf the divergence is the largest log ratio over the cells
+    that carry mass, as in :func:`pa_divergence`.
     """
     ref = py[None, :] / m
     pos = r > 0.0
-    if beta == 1.0:
-        lr = np.log2(np.where(pos, r, 1.0))
-        lref = np.log2(np.where(ref > 0.0, ref, 1.0))
-        return np.where(pos, r * (lr - lref), 0.0).sum(axis=(-2, -1))
+    if beta == 1.0 or beta == math.inf:
+        log_ratio = np.log2(np.where(pos, r, 1.0)) - np.log2(np.where(ref > 0.0, ref, 1.0))
+        if beta == 1.0:
+            return np.where(pos, r * log_ratio, 0.0).sum(axis=(-2, -1))
+        return np.where(pos, log_ratio, -math.inf).max(axis=(-2, -1))
     t = np.where(pos, np.power(np.where(pos, r, 1.0), beta) * np.power(np.where(ref > 0.0, ref, 1.0), 1.0 - beta), 0.0)
     s = t.sum(axis=(-2, -1))
     return np.log2(s) / (beta - 1.0)
@@ -169,8 +183,8 @@ def _pa_divergence_batch(r: np.ndarray, py: np.ndarray, beta: float, m: int) -> 
 def pa_divergence(joint_n: JointPmf, h: HashSpec, beta: float) -> float:
     """Divergence of one hash's induced joint from the ideal, in bits."""
     induced = _induced(joint_n, h)
-    ideal = np.tile(joint_n.probs.sum(axis=0) / h.range_size, (h.range_size, 1))
-    return _divergence(induced.ravel(), ideal.ravel(), ExtOrder.of(beta)).value
+    ideal = np.broadcast_to(joint_n.probs.sum(axis=0) / h.range_size, induced.shape)
+    return _divergence(induced, ideal, ExtOrder.of(beta)).value
 
 
 def _rgs_blocks(p: np.ndarray, k: int):
@@ -360,6 +374,34 @@ def _sc_inner(pyc: np.ndarray, pyn: np.ndarray, beta: float) -> np.ndarray:
     return t.sum(axis=-1)
 
 
+def _codebook_means(seq_rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """P_{Y|C} of each codebook of sequence indices idx (B, M), shape
+    (B, |Y|^n): the M codeword rows added in order and divided by M.
+
+    These are the bits of seq_rows[idx].mean(axis=1), whose reduction over
+    the middle axis is the same sequential sum, without its (B, M, |Y|^n)
+    gather. With a single output column numpy reduces the M values as a
+    contiguous run instead (pairwise from M = 8 on), so that case keeps the
+    numpy mean.
+    """
+    if seq_rows.shape[1] == 1:
+        return seq_rows[idx].mean(axis=1)
+    total = seq_rows[idx[:, 0]]
+    for j in range(1, idx.shape[1]):
+        total += seq_rows[idx[:, j]]
+    return total / idx.shape[1]
+
+
+def _check_ensemble(n: int, m: int, beta: float) -> None:
+    """Reject a blocklength, codebook size or order with no ensemble value."""
+    if n < 1:
+        raise ValueError(f"blocklength n >= 1 required, got {n}")
+    if m < 1:
+        raise ValueError(f"codebook size M >= 1 required, got {m}")
+    if not 0.0 <= beta < math.inf:
+        raise ValueError(f"a finite beta >= 0 required, got {beta}")
+
+
 def sc_expected_divergence_exact(
     px: Pmf,
     pyx: CondPmf,
@@ -379,8 +421,11 @@ def sc_expected_divergence_exact(
     from supp(P_X)^n, each weighted by its probability under i.i.d.
     drawing, M!/prod_i k_i! * prod_i p_i^k_i, computed in the log domain.
     The cap still counts the |supp P_X|^(n M) ordered codebooks.
+
+    Requires n >= 1, M >= 1 and a finite beta >= 0 (ValueError otherwise).
     """
     beta = float(beta)
+    _check_ensemble(n, m, beta)
     seq_probs, seq_rows, pyn = _channel_power(px, pyx, n)
     s = len(seq_probs)
     total = s ** m
@@ -401,7 +446,7 @@ def sc_expected_divergence_exact(
         last = np.concatenate([first[:, 1:], np.ones((len(idx), 1), dtype=bool)], axis=1)
         k = pos - np.maximum.accumulate(np.where(first, pos, 0), axis=1) + 1
         log_w = log_fact[m] - np.where(last, log_fact[k], 0.0).sum(axis=1) + logp[idx].sum(axis=1)
-        pyc = seq_rows[idx].mean(axis=1)  # (B, |Y|^n)
+        pyc = _codebook_means(seq_rows, idx)
         acc += float(np.sum(np.exp(log_w) * _sc_inner(pyc, pyn, beta)))
     value = acc if beta == 1.0 else math.log2(acc) / (beta - 1.0)
     return SimRecord(n, m, beta, value, "exact-enumeration")
@@ -437,12 +482,26 @@ def sc_expected_divergence_mc(
     beta != 1 the inner expectation is estimated first and logged after;
     the (vanishing) plug-in bias of the outer log is noted, not corrected.
     Standard errors are leave-one-out jackknife on the reported value.
+
+    When the s^M ordered codebooks of the s = |supp P_X|^n sequences number
+    at most ``_CHUNK``, the inner value of each is computed once, and a draw
+    reads the entry at its codebook's base-s digits; otherwise each draw is
+    evaluated on its own. Both give the same bits.
+
+    Requires n >= 1, M >= 1, a finite beta >= 0 and n_samples >= 2
+    (ValueError otherwise).
     """
     beta = float(beta)
+    _check_ensemble(n, m, beta)
     if n_samples < 2:
         raise ValueError("n_samples >= 2 required")
     seq_probs, seq_rows, pyn = _channel_power(px, pyx, n)
     s = len(seq_probs)
+    table = None
+    if s**m <= _CHUNK:
+        place = s ** np.arange(m - 1, -1, -1)
+        books = np.arange(s**m)[:, None] // place % s  # lexicographic order
+        table = _sc_inner(_codebook_means(seq_rows, books), pyn, beta)
     streams = np.random.SeedSequence(seed).spawn(math.ceil(n_samples / _CHUNK))
     inner = np.empty(n_samples)
     done = 0
@@ -450,8 +509,10 @@ def sc_expected_divergence_mc(
         take = min(_CHUNK, n_samples - done)
         rng = np.random.default_rng(child)
         idx = rng.choice(s, size=(take, m), p=seq_probs)
-        pyc = seq_rows[idx].mean(axis=1)
-        inner[done : done + take] = _sc_inner(pyc, pyn, beta)
+        if table is None:
+            inner[done : done + take] = _sc_inner(_codebook_means(seq_rows, idx), pyn, beta)
+        else:
+            inner[done : done + take] = table[idx @ place]
         done += take
     if beta == 1.0:
         value = float(inner.mean())

@@ -217,6 +217,17 @@ class TestSimulate:
         assert main(["simulate", "pa", "--input", joint_path, "--beta", "0.5",
                      "--m", "2", "--rate", "1.0"]) == 2
 
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    @pytest.mark.parametrize("n, m, beta", [("1", "0", "0.5"), ("0", "2", "0.5"), ("1", "2", "inf")])
+    def test_invalid_ensemble_is_config_error(self, joint_path, tmp_path, capsys, mode, n, m, beta):
+        out = tmp_path / "s.csv"
+        rc = main(["simulate", "sc", "--input", joint_path, "--mode", mode, "--n", n,
+                   "--m", m, "--beta", beta, "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_rate_rounding_recorded(self, joint_path, tmp_path):
         out = tmp_path / "s.csv"
         rc = main(["simulate", "pa", "--input", joint_path, "--mode", "exhaustive",

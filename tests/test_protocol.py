@@ -149,14 +149,14 @@ class TestExhaustivePaBruteForce:
         first = next(t for v, t in brute if _is_rgs(t) and v <= lo + PA_TIE_TOL)
         assert h.table == first, (m, beta)
 
-    @pytest.mark.parametrize("beta", [0.3, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 0.5, 1.0, 2.0, math.inf])
     def test_random_joints_with_zero_cells(self, rng, beta):
         for nx, ny, m in ((4, 2, 2), (4, 3, 3), (5, 2, 3), (3, 3, 2)):
             j = random_joint(rng, nx, ny)
             self._check(j, m, beta)
             self._check(_with_zero_cells(j, rng), m, beta)
 
-    @pytest.mark.parametrize("beta", [0.3, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 0.5, 1.0, 2.0, math.inf])
     def test_single_output_more_outputs_than_symbols_and_one_symbol(self, rng, beta):
         j = random_joint(rng, 3, 2)
         for m in (1, 4, 5):
@@ -374,6 +374,76 @@ class TestScMonteCarlo:
         pyx = random_channel(rng, 2, 2)
         rec = sc_expected_divergence_mc(px, pyx, 1, 2, 2.0, n_samples=100, seed=0)
         assert "bias" in rec.note
+
+
+class TestScMonteCarloTable:
+    """The codebook table of sc_expected_divergence_mc against its per-draw
+    path, and the codebook means against the numpy mean."""
+
+    @staticmethod
+    def _record(px, pyx, n, m, beta, chunk, monkeypatch):
+        """The record at block size ``chunk`` with n_samples = s^M - 1 draws,
+        and the number of rows each _codebook_means call got."""
+        s = len(px.support) ** n
+        rows = []
+        means = protocol._codebook_means
+        with monkeypatch.context() as mp:
+            mp.setattr(protocol, "_CHUNK", chunk)
+            mp.setattr(protocol, "_codebook_means", lambda r, idx: rows.append(len(idx)) or means(r, idx))
+            rec = sc_expected_divergence_mc(px, pyx, n, m, beta, n_samples=s**m - 1, seed=11)
+        return rec, rows
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    def test_table_equals_per_draw(self, rng, monkeypatch, beta):
+        # with n_samples <= both block sizes the draws come from one stream,
+        # so patching the block size below s^M changes only the path
+        pyx5 = random_channel(rng, 5, 3)
+        zero_mass = (Pmf(pyx5.given_alphabet, [0.2, 0.0, 0.3, 0.1, 0.4]), pyx5)
+        ternary = (random_pmf(rng, 3), random_channel(rng, 3, 2))
+        for px, pyx in (zero_mass, ternary):
+            for n in (1, 2):
+                for m in (1, 2, 3):
+                    s = len(px.support) ** n
+                    assert s**m <= protocol._CHUNK
+                    table, table_rows = self._record(px, pyx, n, m, beta, protocol._CHUNK, monkeypatch)
+                    draws, draw_rows = self._record(px, pyx, n, m, beta, s**m - 1, monkeypatch)
+                    assert table_rows == [s**m] and draw_rows == [s**m - 1], (n, m)
+                    assert repr(draws) == repr(table), (n, m)
+
+    def test_codebook_means_equal_numpy_mean(self, rng):
+        for k in (1, 2, 3, 8, 9, 27):
+            # one output column: masses a little below 1, as validation allows
+            rows = rng.dirichlet(np.ones(k), size=7) if k > 1 else 1.0 - rng.random((7, 1)) * 1e-12
+            for m in range(1, 11):
+                idx = rng.integers(0, 7, size=(200, m))
+                want = rows[idx].mean(axis=1)  # the reference: numpy's own mean
+                got = protocol._codebook_means(rows, idx)
+                assert got.tobytes() == want.tobytes(), (k, m)
+
+
+class TestEnsembleInputs:
+    @pytest.mark.parametrize(
+        "n, m, beta, match",
+        [
+            (1, 0, 0.5, "M >= 1"),
+            (0, 2, 0.5, "n >= 1"),
+            (1, 2, math.inf, "finite beta"),
+            (1, 2, -0.5, "finite beta"),
+            (1, 2, math.nan, "finite beta"),
+        ],
+    )
+    def test_rejected(self, rng, n, m, beta, match):
+        px, pyx = random_pmf(rng, 2), random_channel(rng, 2, 2)
+        with pytest.raises(ValueError, match=match):
+            sc_expected_divergence_exact(px, pyx, n, m, beta)
+        with pytest.raises(ValueError, match=match):
+            sc_expected_divergence_mc(px, pyx, n, m, beta, n_samples=10)
+
+    def test_beta_zero_is_accepted(self, rng):
+        px, pyx = random_pmf(rng, 2), random_channel(rng, 2, 2)
+        exact = sc_expected_divergence_exact(px, pyx, 1, 2, 0.0)
+        mc = sc_expected_divergence_mc(px, pyx, 1, 2, 0.0, n_samples=500, seed=1)
+        assert math.isfinite(exact.value_bits) and math.isfinite(mc.value_bits)
 
 
 class TestOneShotScBound:
