@@ -97,8 +97,10 @@ class MeasureResult:
 def log2_strict(p: np.ndarray) -> np.ndarray:
     """log2 with -inf at exact zeros and no warnings."""
     p = np.asarray(p, dtype=np.float64)
+    out = np.full(p.shape, -INF)
     pos = p > 0.0
-    return np.where(pos, np.log2(np.where(pos, p, 1.0)), -INF)
+    out[pos] = np.log2(p[pos])
+    return out
 
 
 def logsumexp2(t: np.ndarray, axis=None) -> np.ndarray | float:
@@ -108,7 +110,7 @@ def logsumexp2(t: np.ndarray, axis=None) -> np.ndarray | float:
         return -INF if axis is None else np.full(np.delete(t.shape, axis), -INF)
     m = np.maximum.reduce(t, axis=axis, keepdims=True)
     finite = np.isfinite(m)
-    if np.count_nonzero(finite) == finite.size:  # then every sum is >= 1
+    if finite.all():  # then every sum is >= 1
         out = m + np.log2(np.add.reduce(np.exp2(t - m), axis=axis, keepdims=True))
     else:
         safe_m = np.where(finite, m, 0.0)
@@ -123,41 +125,35 @@ def logsumexp2(t: np.ndarray, axis=None) -> np.ndarray | float:
 # the reference-weighted kernel
 
 
-def _kernel_inputs(joint: JointPmf, mutual: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+def _kernel_inputs(joint: JointPmf, mutual: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(weights, log rows, log r) of a joint, r = P_X for I~ and 1_X for H~.
 
     weights (m,) is P_Y on its support; column j of log rows (nx, m) is
     log2 P_{X|Y}(. | y_j) with -inf at exact zeros. log r is 0 where
     r = 0: a row entry is positive only where r is (r is P_X or 1_X), so
     every term that reads such an entry already carries log 0 = -inf from
-    the row. For H~, log r is None: log 1_X = 0 everywhere, and the terms
-    that would add it are skipped (adding 0 changes no bit of them). The
-    joint was validated when it was built, so the rows are not validated
-    again.
+    the row. The joint was validated when it was built, so the rows are not
+    validated again.
     """
     py = joint.probs.sum(axis=0)
     pos = py > 0.0
-    if np.count_nonzero(pos) == len(pos):  # no empty column to drop
-        weights, logrows = py, log2_strict(joint.probs / py)
-    else:
-        weights = py[pos]
-        logrows = log2_strict(joint.probs[:, pos] / weights)
+    weights = py[pos]
+    logrows = log2_strict(joint.probs[:, pos] / weights)
     if mutual:
         px = joint.probs.sum(axis=1)
         logr = np.log2(np.where(px > 0.0, px, 1.0))
     else:
-        logr = None
+        logr = np.zeros(joint.shape[0])
     return weights, logrows, logr
 
 
-def _inner(logrows: np.ndarray, logr: np.ndarray | None, alphas: np.ndarray) -> np.ndarray:
+def _inner(logrows: np.ndarray, logr: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     """log2 sum_x r(x)^(1-alpha) P_{X|y}(x)^alpha, shape (len(alphas), m).
 
     Holds one (k, nx, m) array plus the two of the exponent sum.
     """
     t = alphas[:, None, None] * logrows
-    if logr is not None:
-        t += (1.0 - alphas)[:, None, None] * logr[:, None]
+    t += (1.0 - alphas)[:, None, None] * logr[:, None]
     return logsumexp2(t, axis=1)
 
 
@@ -166,9 +162,8 @@ def _power_mean(logw: np.ndarray, inner: np.ndarray, alphas: np.ndarray,
     """The kernel at finite alphas != 1 and finite betas > 0, shape
     (len(alphas), len(betas)); ``inner`` holds the rows of :func:`_inner`
     at ``alphas`` and ``logw`` is log2 of the weights."""
-    col = alphas[:, None]
-    terms = logw + (betas / col)[:, :, None] * inner[:, None, :]
-    return col / (betas * (col - 1.0)) * logsumexp2(terms, axis=2)
+    terms = logw + (betas / alphas[:, None])[:, :, None] * inner[:, None, :]
+    return alphas[:, None] / (betas * (alphas[:, None] - 1.0)) * logsumexp2(terms, axis=2)
 
 
 def _generic(weights, logrows, logr, alphas: np.ndarray, beta: float) -> np.ndarray:
@@ -178,13 +173,13 @@ def _generic(weights, logrows, logr, alphas: np.ndarray, beta: float) -> np.ndar
     return _power_mean(np.log2(weights), inner, alphas, np.array([beta]))[:, 0]
 
 
-def _row_terms(logrows: np.ndarray, logr: np.ndarray | None, a: ExtOrder) -> np.ndarray:
+def _row_terms(logrows: np.ndarray, logr: np.ndarray, a: ExtOrder) -> np.ndarray:
     """The row terms c_y = D_a(P_{X|y} || r) at a tag a in {0, 1, inf},
     shape (m,). At a finite a they are _inner / (a - 1)."""
     on_row = np.isfinite(logrows)
     if a.is_zero:
-        return -logsumexp2(np.where(on_row, 0.0 if logr is None else logr[:, None], -INF), axis=0)
-    log_ratio = logrows if logr is None else logrows - logr[:, None]
+        return -logsumexp2(np.where(on_row, logr[:, None], -INF), axis=0)
+    log_ratio = logrows - logr[:, None]
     if a.is_inf:
         return log_ratio.max(axis=0)
     return np.add.reduce(np.exp2(logrows) * np.where(on_row, log_ratio, 0.0), axis=0)

@@ -59,8 +59,6 @@ class ExtOrder:
                 return ExtOrder.infinity()
             x = float(s)
         x = float(x)
-        if 0.0 < x < math.inf and (x != 1.0 or allow_one):
-            return ExtOrder(FINITE, x)
         if x == 0.0:
             return ExtOrder.zero()
         if math.isinf(x):

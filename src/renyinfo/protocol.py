@@ -17,13 +17,11 @@ the PA divergence is the largest log ratio over the cells with mass.
 
 The Monte-Carlo ensemble draws its codebooks in blocks of ``_CHUNK``, one
 RNG stream per block. With s = |supp P_X|^n sequences there are only s^M
-ordered codebooks; when they number at most ``_CHUNK``, the inner sum of
-each is computed once and every draw reads its entry, and otherwise every
-draw is evaluated on its own; the two paths give the same records. Every
-codebook's output distribution, exact enumeration included, is its M
-codeword rows added in order and divided by M: the bits of numpy's mean
-over the codewords. Both ensembles require n >= 1, M >= 1 and a finite
-beta >= 0.
+ordered codebooks; when they number at most min(``_CHUNK``, n_samples),
+the inner sum of each is computed once and every draw reads its entry, and
+otherwise every draw is evaluated on its own. Both paths take the same
+mean over each codebook's rows, so they give the same records. Both
+ensembles require n >= 1, M >= 1 and a finite beta >= 0.
 
 This is a verification rig, not a scalable tool: enumeration caps keep
 everything tiny by design. The caps count the ordered objects (M^|X| hash
@@ -374,24 +372,6 @@ def _sc_inner(pyc: np.ndarray, pyn: np.ndarray, beta: float) -> np.ndarray:
     return t.sum(axis=-1)
 
 
-def _codebook_means(seq_rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """P_{Y|C} of each codebook of sequence indices idx (B, M), shape
-    (B, |Y|^n): the M codeword rows added in order and divided by M.
-
-    These are the bits of seq_rows[idx].mean(axis=1), whose reduction over
-    the middle axis is the same sequential sum, without its (B, M, |Y|^n)
-    gather. With a single output column numpy reduces the M values as a
-    contiguous run instead (pairwise from M = 8 on), so that case keeps the
-    numpy mean.
-    """
-    if seq_rows.shape[1] == 1:
-        return seq_rows[idx].mean(axis=1)
-    total = seq_rows[idx[:, 0]]
-    for j in range(1, idx.shape[1]):
-        total += seq_rows[idx[:, j]]
-    return total / idx.shape[1]
-
-
 def _check_ensemble(n: int, m: int, beta: float) -> None:
     """Reject a blocklength, codebook size or order with no ensemble value."""
     if n < 1:
@@ -446,7 +426,7 @@ def sc_expected_divergence_exact(
         last = np.concatenate([first[:, 1:], np.ones((len(idx), 1), dtype=bool)], axis=1)
         k = pos - np.maximum.accumulate(np.where(first, pos, 0), axis=1) + 1
         log_w = log_fact[m] - np.where(last, log_fact[k], 0.0).sum(axis=1) + logp[idx].sum(axis=1)
-        pyc = _codebook_means(seq_rows, idx)
+        pyc = seq_rows[idx].mean(axis=1)  # (B, |Y|^n)
         acc += float(np.sum(np.exp(log_w) * _sc_inner(pyc, pyn, beta)))
     value = acc if beta == 1.0 else math.log2(acc) / (beta - 1.0)
     return SimRecord(n, m, beta, value, "exact-enumeration")
@@ -466,6 +446,37 @@ def _jackknife_se(values: np.ndarray) -> float:
     return float(math.sqrt((n - 1) / n * np.sum((values - mean) ** 2)))
 
 
+def _sc_draw_inner(seq_probs, seq_rows, pyn, m: int, beta: float, n_samples: int,
+                   seed: int) -> np.ndarray:
+    """The inner sum of each of n_samples i.i.d. codebooks of M sequence
+    indices, drawn in blocks of ``_CHUNK`` with one RNG stream per block.
+
+    When the s^M ordered codebooks number at most min(``_CHUNK``,
+    n_samples), the inner sum of each is computed once, lexicographically,
+    and a draw reads the entry at its codebook's base-s digits; otherwise
+    each draw is evaluated on its own. Both give the same bits.
+    """
+    s = len(seq_probs)
+    table = None
+    if s**m <= min(_CHUNK, n_samples):
+        place = s ** np.arange(m - 1, -1, -1)
+        books = np.arange(s**m)[:, None] // place % s
+        table = _sc_inner(seq_rows[books].mean(axis=1), pyn, beta)
+    streams = np.random.SeedSequence(seed).spawn(math.ceil(n_samples / _CHUNK))
+    inner = np.empty(n_samples)
+    done = 0
+    for child in streams:
+        take = min(_CHUNK, n_samples - done)
+        rng = np.random.default_rng(child)
+        idx = rng.choice(s, size=(take, m), p=seq_probs)
+        if table is None:
+            inner[done : done + take] = _sc_inner(seq_rows[idx].mean(axis=1), pyn, beta)
+        else:
+            inner[done : done + take] = table[idx @ place]
+        done += take
+    return inner
+
+
 def sc_expected_divergence_mc(
     px: Pmf,
     pyx: CondPmf,
@@ -483,10 +494,8 @@ def sc_expected_divergence_mc(
     the (vanishing) plug-in bias of the outer log is noted, not corrected.
     Standard errors are leave-one-out jackknife on the reported value.
 
-    When the s^M ordered codebooks of the s = |supp P_X|^n sequences number
-    at most ``_CHUNK``, the inner value of each is computed once, and a draw
-    reads the entry at its codebook's base-s digits; otherwise each draw is
-    evaluated on its own. Both give the same bits.
+    With few distinct codebooks each is evaluated once
+    (:func:`_sc_draw_inner`); the records are the same bits either way.
 
     Requires n >= 1, M >= 1, a finite beta >= 0 and n_samples >= 2
     (ValueError otherwise).
@@ -496,24 +505,7 @@ def sc_expected_divergence_mc(
     if n_samples < 2:
         raise ValueError("n_samples >= 2 required")
     seq_probs, seq_rows, pyn = _channel_power(px, pyx, n)
-    s = len(seq_probs)
-    table = None
-    if s**m <= _CHUNK:
-        place = s ** np.arange(m - 1, -1, -1)
-        books = np.arange(s**m)[:, None] // place % s  # lexicographic order
-        table = _sc_inner(_codebook_means(seq_rows, books), pyn, beta)
-    streams = np.random.SeedSequence(seed).spawn(math.ceil(n_samples / _CHUNK))
-    inner = np.empty(n_samples)
-    done = 0
-    for child in streams:
-        take = min(_CHUNK, n_samples - done)
-        rng = np.random.default_rng(child)
-        idx = rng.choice(s, size=(take, m), p=seq_probs)
-        if table is None:
-            inner[done : done + take] = _sc_inner(_codebook_means(seq_rows, idx), pyn, beta)
-        else:
-            inner[done : done + take] = table[idx @ place]
-        done += take
+    inner = _sc_draw_inner(seq_probs, seq_rows, pyn, m, beta, n_samples, seed)
     if beta == 1.0:
         value = float(inner.mean())
         # jackknife of a plain mean reduces to std/sqrt(N)

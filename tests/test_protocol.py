@@ -377,48 +377,46 @@ class TestScMonteCarlo:
 
 
 class TestScMonteCarloTable:
-    """The codebook table of sc_expected_divergence_mc against its per-draw
-    path, and the codebook means against the numpy mean."""
+    """The codebook table of the Monte-Carlo ensemble against its per-draw
+    path, on the same draws."""
 
     @staticmethod
-    def _record(px, pyx, n, m, beta, chunk, monkeypatch):
-        """The record at block size ``chunk`` with n_samples = s^M - 1 draws,
-        and the number of rows each _codebook_means call got."""
-        s = len(px.support) ** n
+    def _inner(px, pyx, n, m, beta, n_samples, chunk, monkeypatch):
+        """The per-draw inner sums at block size ``chunk``, and the number of
+        rows of each _sc_inner call (s^M for the table)."""
         rows = []
-        means = protocol._codebook_means
+        sc_inner = protocol._sc_inner
+        seq_probs, seq_rows, pyn = protocol._channel_power(px, pyx, n)
         with monkeypatch.context() as mp:
             mp.setattr(protocol, "_CHUNK", chunk)
-            mp.setattr(protocol, "_codebook_means", lambda r, idx: rows.append(len(idx)) or means(r, idx))
-            rec = sc_expected_divergence_mc(px, pyx, n, m, beta, n_samples=s**m - 1, seed=11)
-        return rec, rows
+            mp.setattr(protocol, "_sc_inner", lambda pyc, *a: rows.append(len(pyc)) or sc_inner(pyc, *a))
+            inner = protocol._sc_draw_inner(seq_probs, seq_rows, pyn, m, beta, n_samples, seed=11)
+        return inner, rows
 
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
     def test_table_equals_per_draw(self, rng, monkeypatch, beta):
-        # with n_samples <= both block sizes the draws come from one stream,
-        # so patching the block size below s^M changes only the path
+        # A block's draws are the leading rows of a longer draw from the same
+        # stream, so the first s^M - 1 draws agree between a one-block table
+        # run of s^M draws, a per-draw run of s^M - 1 draws (n_samples below
+        # s^M), and the first block of a per-draw run whose block size is
+        # patched to s^M - 1.
         pyx5 = random_channel(rng, 5, 3)
         zero_mass = (Pmf(pyx5.given_alphabet, [0.2, 0.0, 0.3, 0.1, 0.4]), pyx5)
         ternary = (random_pmf(rng, 3), random_channel(rng, 3, 2))
-        for px, pyx in (zero_mass, ternary):
-            for n in (1, 2):
-                for m in (1, 2, 3):
-                    s = len(px.support) ** n
-                    assert s**m <= protocol._CHUNK
-                    table, table_rows = self._record(px, pyx, n, m, beta, protocol._CHUNK, monkeypatch)
-                    draws, draw_rows = self._record(px, pyx, n, m, beta, s**m - 1, monkeypatch)
-                    assert table_rows == [s**m] and draw_rows == [s**m - 1], (n, m)
-                    assert repr(draws) == repr(table), (n, m)
-
-    def test_codebook_means_equal_numpy_mean(self, rng):
-        for k in (1, 2, 3, 8, 9, 27):
-            # one output column: masses a little below 1, as validation allows
-            rows = rng.dirichlet(np.ones(k), size=7) if k > 1 else 1.0 - rng.random((7, 1)) * 1e-12
-            for m in range(1, 11):
-                idx = rng.integers(0, 7, size=(200, m))
-                want = rows[idx].mean(axis=1)  # the reference: numpy's own mean
-                got = protocol._codebook_means(rows, idx)
-                assert got.tobytes() == want.tobytes(), (k, m)
+        # one output symbol with masses a little below 1, as validation allows
+        px2 = random_pmf(rng, 2)
+        one_output = (px2, CondPmf.from_matrix(px2.alphabet, ("y",), 1.0 - rng.random((2, 1)) * 1e-12))
+        cases = [(inp, n, m) for inp in (zero_mass, ternary) for n in (1, 2) for m in (1, 2, 3)]
+        cases += [(one_output, 1, m) for m in (8, 10)]
+        for (px, pyx), n, m in cases:
+            k = (len(px.support) ** n) ** m
+            assert k <= protocol._CHUNK
+            table, table_rows = self._inner(px, pyx, n, m, beta, k, protocol._CHUNK, monkeypatch)
+            fewer, fewer_rows = self._inner(px, pyx, n, m, beta, k - 1, protocol._CHUNK, monkeypatch)
+            small, small_rows = self._inner(px, pyx, n, m, beta, k, k - 1, monkeypatch)
+            assert (table_rows, fewer_rows, small_rows) == ([k], [k - 1], [k - 1, 1]), (n, m)
+            assert fewer.tobytes() == table[:-1].tobytes(), (n, m)
+            assert small[:-1].tobytes() == table[:-1].tobytes(), (n, m)
 
 
 class TestEnsembleInputs:
