@@ -56,6 +56,7 @@ from .orders import ExtOrder
 from .properties import run_properties
 from .protocol import (
     SIM_CSV_HEADER,
+    SimRecord,
     m_from_rate,
     pa_min_divergence_exhaustive,
     pa_universal_family_divergence,
@@ -257,7 +258,10 @@ def cmd_exponent(args) -> int:
         raise CliError("beta values must be positive")
     if any(r < 0 for r in rates):
         raise CliError("rates must be non-negative")
-    cfg = ExponentConfig(grid_step=args.grid_step)
+    try:
+        cfg = ExponentConfig(grid_step=args.grid_step)
+    except ValueError as e:
+        raise CliError(str(e))
     solver = SolverConfig(max_iters=args.solver_iters)
     primal = pa_exponent if args.problem == "pa" else sc_exponent
     points = [(b, r) for b in betas for r in rates]
@@ -309,7 +313,7 @@ def cmd_variational(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
+def _simulate_records(args) -> list:
     betas = _parse_floats(args.beta, "beta")
     records = []
     if args.problem == "pa":
@@ -322,8 +326,6 @@ def cmd_simulate(args) -> int:
                 m, note = args.m, ""
             if args.mode == "exhaustive":
                 val, h = pa_min_divergence_exhaustive(joint_n, m, b)
-                from .protocol import SimRecord
-
                 records.append(SimRecord(args.n, m, b, val, "exact-enumeration",
                                          None, None, note))
             else:
@@ -342,18 +344,23 @@ def cmd_simulate(args) -> int:
                 m, note = m_from_rate(args.n, args.rate)
             else:
                 m, note = args.m, ""
-            try:
-                if args.mode == "exact":
-                    rec = sc_expected_divergence_exact(px, pyx, args.n, m, b)
-                else:
-                    rec = sc_expected_divergence_mc(px, pyx, args.n, m, b,
-                                                    n_samples=args.samples, seed=args.seed)
-            except ValueError as e:  # n, M, beta or the sample count out of range
-                raise CliError(str(e))
+            if args.mode == "exact":
+                rec = sc_expected_divergence_exact(px, pyx, args.n, m, b)
+            else:
+                rec = sc_expected_divergence_mc(px, pyx, args.n, m, b,
+                                                n_samples=args.samples, seed=args.seed)
             if note:
                 rec = type(rec)(rec.n, rec.M, rec.beta, rec.value_bits, rec.estimator,
                                 rec.stderr, rec.seed, (rec.note + "; " + note).strip("; "))
             records.append(rec)
+    return records
+
+
+def cmd_simulate(args) -> int:
+    try:
+        records = _simulate_records(args)
+    except ValueError as e:  # n, M, beta or the sample count out of range
+        raise CliError(str(e))
     rows = []
     for rec in records:
         row = rec.csv_row()

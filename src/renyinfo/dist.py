@@ -7,14 +7,18 @@ Supports are computed by exact comparison to 0.0 (no epsilon): callers
 must encode true zeros exactly.
 
 All objects are immutable after validation and safe to share between
-threads.
+threads. A :class:`JointPmf` also carries a private memo that the measure
+kernel fills lazily with arrays derived from ``probs`` (see
+:mod:`renyinfo.measures`). Filling it is idempotent: two threads that race
+store equal arrays under the same key, and the memo takes no part in
+equality, repr or the wire format.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -112,6 +116,8 @@ class JointPmf:
     alphabet_x: tuple[str, ...]
     alphabet_y: tuple[str, ...]
     probs: np.ndarray
+    # kernel inputs derived from probs, filled by measures._kernel_inputs
+    _kernel_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alphabet_x", _check_labels(self.alphabet_x, "JointPmf X"))

@@ -83,8 +83,16 @@ class Rate:
 
 @dataclass(frozen=True)
 class ExponentConfig:
+    """The primal search's alpha grid step and golden-section tolerance."""
+
     grid_step: float = 1e-3
     alpha_tol: float = 1e-9
+
+    def __post_init__(self):
+        for name in ("grid_step", "alpha_tol"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {v!r}")
 
 
 DEFAULT_EXP_CONFIG = ExponentConfig()

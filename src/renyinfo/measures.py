@@ -47,7 +47,15 @@ Conventions (all logs base 2, values in bits):
 * order 1 is an exact tag evaluated by the Shannon forms, never by a
   numeric limit.
 
-All functions are pure functions of immutable inputs.
+All functions are pure functions of immutable inputs. The one piece of
+state is the kernel's prepared inputs: P_Y's support weights, their log2,
+the log rows and log r of a joint, memoized on the joint itself per
+reference (``JointPmf._kernel_memo``, keyed by ``mutual``), so repeated
+evaluations on one joint (an exponent search makes about 34) derive them
+once. The memo cannot go stale: it is a function of ``probs`` alone, which
+is a read-only copy made when the joint was validated, and its arrays are
+read-only too. It lives and dies with its joint; nothing is cached at
+module level.
 """
 
 from __future__ import annotations
@@ -125,16 +133,20 @@ def logsumexp2(t: np.ndarray, axis=None) -> np.ndarray | float:
 # the reference-weighted kernel
 
 
-def _kernel_inputs(joint: JointPmf, mutual: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(weights, log rows, log r) of a joint, r = P_X for I~ and 1_X for H~.
+def _kernel_inputs(joint: JointPmf, mutual: bool) -> tuple[np.ndarray, ...]:
+    """(weights, log weights, log rows, log r) of a joint, r = P_X for I~
+    and 1_X for H~, read-only and memoized on the joint.
 
-    weights (m,) is P_Y on its support; column j of log rows (nx, m) is
-    log2 P_{X|Y}(. | y_j) with -inf at exact zeros. log r is 0 where
-    r = 0: a row entry is positive only where r is (r is P_X or 1_X), so
-    every term that reads such an entry already carries log 0 = -inf from
-    the row. The joint was validated when it was built, so the rows are not
-    validated again.
+    weights (m,) is P_Y on its support and log weights is their log2;
+    column j of log rows (nx, m) is log2 P_{X|Y}(. | y_j) with -inf at
+    exact zeros. log r is 0 where r = 0: a row entry is positive only where
+    r is (r is P_X or 1_X), so every term that reads such an entry already
+    carries log 0 = -inf from the row. The joint was validated when it was
+    built, so the rows are not validated again.
     """
+    inputs = joint._kernel_memo.get(mutual)
+    if inputs is not None:
+        return inputs
     py = joint.probs.sum(axis=0)
     pos = py > 0.0
     weights = py[pos]
@@ -144,7 +156,11 @@ def _kernel_inputs(joint: JointPmf, mutual: bool) -> tuple[np.ndarray, np.ndarra
         logr = np.log2(np.where(px > 0.0, px, 1.0))
     else:
         logr = np.zeros(joint.shape[0])
-    return weights, logrows, logr
+    inputs = (weights, np.log2(weights), logrows, logr)
+    for a in inputs:
+        a.setflags(write=False)
+    joint._kernel_memo[mutual] = inputs
+    return inputs
 
 
 def _inner(logrows: np.ndarray, logr: np.ndarray, alphas: np.ndarray) -> np.ndarray:
@@ -166,11 +182,11 @@ def _power_mean(logw: np.ndarray, inner: np.ndarray, alphas: np.ndarray,
     return alphas[:, None] / (betas * (alphas[:, None] - 1.0)) * logsumexp2(terms, axis=2)
 
 
-def _generic(weights, logrows, logr, alphas: np.ndarray, beta: float) -> np.ndarray:
+def _generic(logw, logrows, logr, alphas: np.ndarray, beta: float) -> np.ndarray:
     """The kernel at finite alphas != 1 and one finite beta > 0, vectorized
-    over alpha."""
+    over alpha; the weights enter only through their log ``logw``."""
     inner = _inner(logrows, logr, alphas)
-    return _power_mean(np.log2(weights), inner, alphas, np.array([beta]))[:, 0]
+    return _power_mean(logw, inner, alphas, np.array([beta]))[:, 0]
 
 
 def _row_terms(logrows: np.ndarray, logr: np.ndarray, a: ExtOrder) -> np.ndarray:
@@ -204,7 +220,7 @@ _MEAN_BRANCHES = frozenset((BRANCH_CORNER, BRANCH_ALPHA_ONE, "beta_zero", "alpha
 _EXTREME_BRANCHES = frozenset((BRANCH_ALPHA_ZERO, "beta_inf", "alpha_inf_beta_inf"))
 
 
-def _kernel_grid(weights, logrows, logr, alphas, betas) -> tuple[np.ndarray, list[list[str]]]:
+def _kernel_grid(weights, logw, logrows, logr, alphas, betas) -> tuple[np.ndarray, list[list[str]]]:
     """K_{a,b}(r) in bits at every pair of ``alphas`` x ``betas`` (ExtOrder
     sequences), shape (len(alphas), len(betas)), and each cell's branch name
     (module docstring).
@@ -218,8 +234,7 @@ def _kernel_grid(weights, logrows, logr, alphas, betas) -> tuple[np.ndarray, lis
     shape = (len(alphas), len(betas))
     fin_a = [i for i, a in enumerate(alphas) if a.is_finite]
     fin_b = [j for j, b in enumerate(betas) if b.is_finite]
-    if fin_b and (fin_a or any(a.is_inf for a in alphas)):  # a generic or alpha = inf cell
-        logw = np.log2(weights)
+    if fin_b:
         bvals = np.array([betas[j].value for j in fin_b])
     if fin_a:
         avals = np.array([alphas[i].value for i in fin_a])
@@ -254,9 +269,9 @@ def _kernel_grid(weights, logrows, logr, alphas, betas) -> tuple[np.ndarray, lis
     return values, branches
 
 
-def _kernel(weights, logrows, logr, a: ExtOrder, b: ExtOrder) -> tuple[float, str]:
+def _kernel(weights, logw, logrows, logr, a: ExtOrder, b: ExtOrder) -> tuple[float, str]:
     """K_{a,b}(r) in bits and the name of its branch: the one-point grid."""
-    values, branches = _kernel_grid(weights, logrows, logr, (a,), (b,))
+    values, branches = _kernel_grid(weights, logw, logrows, logr, (a,), (b,))
     return float(values[0, 0]), branches[0][0]
 
 

@@ -242,6 +242,8 @@ def pa_min_divergence_exhaustive(
     minimum, the returned table is the lexicographically first RGS, and the
     returned value is that table's own divergence.
     """
+    if m < 1:
+        raise ValueError(f"M >= 1 required, got {m}")
     d = len(joint_n.alphabet_x)
     total = m**d
     if total > cap:

@@ -124,7 +124,8 @@ def _curve(joint: JointPmf, alphas: np.ndarray, beta: float, mutual: bool) -> np
         raise ValueError("alphas must be finite, positive, and != 1")
     if not (0.0 < beta < INF):
         raise ValueError("beta must be finite positive")
-    values = _generic(*_kernel_inputs(joint, mutual), alphas, beta)
+    _, logw, logrows, logr = _kernel_inputs(joint, mutual)
+    values = _generic(logw, logrows, logr, alphas, beta)
     return values if mutual else -values
 
 

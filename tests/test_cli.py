@@ -174,6 +174,16 @@ class TestExponent:
                    "--rate", " "])
         assert rc == 2
 
+    @pytest.mark.parametrize("step", ["-0.001", "0", "nan", "inf"])
+    def test_bad_grid_step_is_config_error(self, joint_path, tmp_path, capsys, step):
+        out = tmp_path / "e.csv"
+        rc = main(["exponent", "pa", "--input", joint_path, "--beta", "0.5", "--rate", "1",
+                   "--grid-step", step, "--no-dual", "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid_step") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestVariational:
     def test_h_report(self, joint_path, tmp_path):
@@ -223,6 +233,17 @@ class TestSimulate:
         out = tmp_path / "s.csv"
         rc = main(["simulate", "sc", "--input", joint_path, "--mode", mode, "--n", n,
                    "--m", m, "--beta", beta, "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "family"])
+    @pytest.mark.parametrize("n, m", [("0", "2"), ("1", "0")])
+    def test_invalid_pa_size_is_config_error(self, joint_path, tmp_path, capsys, mode, n, m):
+        out = tmp_path / "s.csv"
+        rc = main(["simulate", "pa", "--input", joint_path, "--mode", mode, "--n", n,
+                   "--m", m, "--beta", "1.5", "--out", str(out)])
         assert rc == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -6,6 +6,7 @@ import pytest
 import renyinfo.exponents as exponents
 from renyinfo.dist import JointPmf, Pmf, marginal_y
 from renyinfo.exponents import (
+    ExponentConfig,
     Rate,
     golden_section_max,
     one_shot_pa_lower_bound,
@@ -50,6 +51,20 @@ class TestRate:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             Rate(-0.1)
+
+
+class TestExponentConfig:
+    @pytest.mark.parametrize("field", ["grid_step", "alpha_tol"])
+    @pytest.mark.parametrize("bad", [-1e-3, 0.0, math.nan, math.inf, -math.inf])
+    def test_rejects_non_positive_or_non_finite(self, field, bad):
+        # only construction is exercised: a zero alpha_tol would never end
+        # the golden-section search
+        with pytest.raises(ValueError, match=field):
+            ExponentConfig(**{field: bad})
+
+    def test_accepts_positive_finite(self):
+        cfg = ExponentConfig(grid_step=0.01, alpha_tol=1e-6)
+        assert (cfg.grid_step, cfg.alpha_tol) == (0.01, 1e-6)
 
 
 class TestPaExponent:

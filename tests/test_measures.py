@@ -1,11 +1,16 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from renyinfo.dist import CondPmf, JointPmf, Pmf
+from renyinfo.dist import CondPmf, JointPmf, Pmf, to_json
 from renyinfo.errors import AlphabetMismatch
+from renyinfo.exponents import pa_exponent, sc_exponent
 from renyinfo.measures import (
+    H_VARIANTS,
+    I_VARIANTS,
+    _kernel_inputs,
     cond_entropy_variant,
     cond_renyi_divergence,
     mutual_info_variant,
@@ -15,7 +20,7 @@ from renyinfo.measures import (
     shannon_mi,
 )
 from renyinfo.properties import run_properties
-from renyinfo.sampling import random_joint
+from renyinfo.sampling import random_joint, random_joint_with_zeros
 from renyinfo.two_param import h_tilde, i_tilde
 
 GRID = (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0, math.inf)
@@ -191,3 +196,64 @@ class TestClassicalInvariants:
             for variant in ("i", "istar", "ibar", "ibarstar"):
                 for a in GRID:
                     assert mutual_info_variant(variant, j, a).value >= -1e-12
+
+
+def _copy(joint: JointPmf) -> JointPmf:
+    return JointPmf(joint.alphabet_x, joint.alphabet_y, joint.probs)
+
+
+class TestPreparedJoint:
+    """The kernel inputs memoized on a joint change no result and no
+    observable property of the joint."""
+
+    def test_slice_variants_agree_cold_and_warm(self):
+        rng = np.random.default_rng(606)
+        joints = [random_joint(rng, nx, ny) for nx in range(2, 7) for ny in range(2, 6)]
+        joints += [random_joint_with_zeros(rng, nx, ny) for nx in range(2, 7) for ny in range(2, 6)]
+        assert len(joints) >= 40
+        for j in joints:
+            warm = _copy(j)
+            _kernel_inputs(warm, False)
+            _kernel_inputs(warm, True)
+            for fn, variants in ((cond_entropy_variant, H_VARIANTS),
+                                 (mutual_info_variant, I_VARIANTS)):
+                for v in variants:
+                    for a in GRID:
+                        got, want = fn(v, warm, a), fn(v, _copy(j), a)
+                        assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+                        assert got.branch == want.branch, (v, a)
+
+    def test_memo_is_invisible(self):
+        j = random_joint_with_zeros(np.random.default_rng(7), 4, 3)
+        warm = _copy(j)
+        h_tilde(warm, (2.0, 0.5))
+        i_tilde(warm, (0.5, 2.0))
+        assert warm._kernel_memo and not j._kernel_memo
+        assert repr(warm) == repr(j)
+        assert warm.to_dict() == j.to_dict()
+        assert to_json(warm) == to_json(j)
+        # == on joints of more than one cell asks numpy for the truth value
+        # of an array, so equality is checked on one-cell joints
+        one, other = JointPmf(("x",), ("y",), [[1.0]]), JointPmf(("x",), ("y",), [[1.0]])
+        h_tilde(one, (2.0, 0.5))
+        assert one._kernel_memo and not other._kernel_memo
+        assert one == other and other == one
+        assert one != JointPmf(("x",), ("z",), [[1.0]])
+
+    def test_prepared_arrays_are_read_only(self):
+        j = random_joint(np.random.default_rng(8), 3, 3)
+        for mutual in (False, True):
+            for a in _kernel_inputs(j, mutual):
+                with pytest.raises(ValueError):
+                    a[0] = 0.0
+
+    def test_memo_dies_with_its_joint(self):
+        j = random_joint(np.random.default_rng(9), 3, 3)
+        h_tilde(j, (2.0, 0.5))
+        i_tilde(j, (0.5, 2.0))
+        pa_exponent(j, 0.5, 1.0)
+        sc_exponent(j, 0.5, 0.1)
+        refs = [weakref.ref(j)]
+        refs += [weakref.ref(a) for mutual in (False, True) for a in _kernel_inputs(j, mutual)]
+        del j
+        assert all(r() is None for r in refs)

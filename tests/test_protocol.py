@@ -82,6 +82,11 @@ class TestExhaustivePa:
         with pytest.raises(EnumerationCap):
             pa_min_divergence_exhaustive(j, 10, 0.5, cap=100)
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_rejects_empty_range(self, rng, m):
+        with pytest.raises(ValueError, match="M >= 1"):
+            pa_min_divergence_exhaustive(random_joint(rng, 3, 2), m, 0.5)
+
     def test_min_matches_scalar_recomputation(self, rng):
         j = random_joint(rng, 3, 2)
         val, h = pa_min_divergence_exhaustive(j, 2, 0.7)

@@ -309,3 +309,64 @@ class TestGrid:
         grid = h_tilde_grid(random_joint(rng, 2, 2), [2.0], [0.5])
         with pytest.raises(ValueError):
             grid.values[0, 0] = 0.0
+
+
+def _memo_joints():
+    rng = np.random.default_rng(4242)
+    extra = [(f"zeros-half-{n}x{n}", random_joint_with_zeros(rng, n, n, zero_fraction=0.5))
+             for n in range(2, 8)]
+    return GRID_JOINTS + extra
+
+
+MEMO_JOINTS = _memo_joints()
+CURVE_ALPHAS = np.array([0.25, 0.5, 0.75, 1.5, 2.0, 4.0])
+CURVE_BETAS = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0)
+
+
+def _cold(joint: JointPmf) -> JointPmf:
+    """A fresh copy of a joint, whose kernel inputs are not prepared yet."""
+    return JointPmf(joint.alphabet_x, joint.alphabet_y, joint.probs)
+
+
+def _outcome(fn, *args):
+    """A result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as e:  # compared between the cold and the warm call
+        return type(e), str(e)
+
+
+def _same_result(x, y) -> bool:
+    if isinstance(x, tuple):  # an exception
+        return x == y
+    return (_same_bits(x.value, y.value) and x.branch == y.branch
+            and x.warning == y.warning and x.order == y.order)
+
+
+class TestPreparedJoint:
+    def test_enough_joints_with_and_without_zeros(self):
+        assert len(MEMO_JOINTS) >= 40
+        assert any(np.any(j.probs == 0.0) for _, j in MEMO_JOINTS)
+        assert any(np.all(j.probs > 0.0) for _, j in MEMO_JOINTS)
+
+    @pytest.mark.parametrize("name,joint", MEMO_JOINTS, ids=[c[0] for c in MEMO_JOINTS])
+    def test_cold_and_warm_joints_agree_bitwise(self, name, joint):
+        warm = _cold(joint)
+        h_tilde(warm, (2.0, 0.5))
+        i_tilde(warm, (2.0, 0.5))
+        assert set(warm._kernel_memo) == {False, True}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn, grid_fn, curve_fn in ((h_tilde, h_tilde_grid, h_tilde_curve),
+                                          (i_tilde, i_tilde_grid, i_tilde_curve)):
+                for a in EXT_ORDERS:
+                    for b in EXT_ORDERS:
+                        cold = _outcome(fn, _cold(joint), (a, b))
+                        assert _same_result(_outcome(fn, warm, (a, b)), cold), (a, b)
+                got = grid_fn(warm, EXT_ORDERS, EXT_ORDERS)
+                want = grid_fn(_cold(joint), EXT_ORDERS, EXT_ORDERS)
+                assert got.values.tobytes() == want.values.tobytes()
+                assert got.branches == want.branches
+                for b in CURVE_BETAS:
+                    got = curve_fn(warm, CURVE_ALPHAS, b)
+                    assert got.tobytes() == curve_fn(_cold(joint), CURVE_ALPHAS, b).tobytes()
