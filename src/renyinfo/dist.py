@@ -68,9 +68,10 @@ def support(probs: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.asarray(probs) > 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pmf:
-    """A probability vector over an ordered finite alphabet."""
+    """A probability vector over an ordered finite alphabet. Two are equal
+    when their alphabets and probability arrays are."""
 
     alphabet: tuple[str, ...]
     probs: np.ndarray
@@ -105,19 +106,26 @@ class Pmf:
         k = len(alphabet)
         return Pmf(tuple(alphabet), np.full(k, 1.0 / k))
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Pmf):
+            return NotImplemented
+        return self.alphabet == other.alphabet and np.array_equal(self.probs, other.probs)
+
     def __repr__(self) -> str:
         return f"Pmf({list(self.alphabet)}, {np.array2string(self.probs, precision=6)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointPmf:
-    """A joint probability matrix over X x Y (rows = X, columns = Y)."""
+    """A joint probability matrix over X x Y (rows = X, columns = Y). Two
+    are equal when their alphabets and probability matrices are; the
+    kernel memo takes no part."""
 
     alphabet_x: tuple[str, ...]
     alphabet_y: tuple[str, ...]
     probs: np.ndarray
     # kernel inputs derived from probs, filled by measures._kernel_inputs
-    _kernel_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _kernel_memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alphabet_x", _check_labels(self.alphabet_x, "JointPmf X"))
@@ -147,6 +155,12 @@ class JointPmf:
             tuple(d["alphabet_y"]),
             np.asarray(d["pmf"], dtype=np.float64),
         )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, JointPmf):
+            return NotImplemented
+        return (self.alphabet_x == other.alphabet_x and self.alphabet_y == other.alphabet_y
+                and np.array_equal(self.probs, other.probs))
 
     def __repr__(self) -> str:
         return (

@@ -6,11 +6,14 @@ Primal forms (order beta < 1): a maximization over alpha in [beta, 1] of
     PA:  (beta (1-alpha)) / (alpha (1-beta)) * (R - H~_{alpha,beta}(X|Y))
     SC:  (beta (1-alpha)) / (alpha (1-beta)) * (I~_{alpha,beta}(X:Y) - R)
 
-evaluated on a dense alpha grid (default step 1e-3) plus golden-section
-refinement of the best bracket; the alpha = 1 endpoint contributes exactly
-0 and is included analytically (the coefficient vanishes there). For
-beta >= 1 the closed forms |R - H_beta(X|Y)|+ and |I_beta(X:Y) - R|+ are
-used directly.
+evaluated on a dense alpha grid (default step 1e-3) whose best point
+brackets the maximum; the alpha = 1 endpoint contributes exactly 0 and is
+included analytically (the coefficient vanishes there). In
+lambda = beta (1-alpha) / (alpha (1-beta)) each curve is concave, and its
+slope is the Lagrangian slope l(Q_lambda) of the dual form below at the
+kernel's tilted joint (measures._generic_tilt), so the bracket is refined
+by Illinois regula falsi on that slope. For beta >= 1 the closed forms
+|R - H_beta(X|Y)|+ and |I_beta(X:Y) - R|+ are used directly.
 
 Dual forms (beta < 1): minimizations over auxiliary joints Q of
 
@@ -30,8 +33,9 @@ simplex_opt.CERT_TOL falls back to the mirror-descent driver started from
 the best Q_lambda, whose points are certified on the clipped objective
 itself and so can tighten both bounds. The PA form splits the evaluated
 points into the pieces G1 (where H(X|Y)_Q > R) and G2.
-The dual route shares no code with the primal one: it never calls the
-two-parameter measures. Rates are in bits.
+The two routes share only the 1-D root finder ``_falsi_root``: the dual
+never calls the two-parameter measures, and the primal, whose kernel
+computes its own slope, never calls simplex_opt. Rates are in bits.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .dist import JointPmf
-from .measures import cond_entropy_variant, mutual_info_variant
+from .measures import _generic_tilt, _kernel_inputs, cond_entropy_variant, mutual_info_variant
 from .simplex_opt import (
     CERT_TOL,
     DEFAULT_CONFIG,
@@ -83,7 +87,8 @@ class Rate:
 
 @dataclass(frozen=True)
 class ExponentConfig:
-    """The primal search's alpha grid step and golden-section tolerance."""
+    """The primal search's alpha grid step, and the alpha width to which
+    regula falsi brackets the slope's root inside the best grid bracket."""
 
     grid_step: float = 1e-3
     alpha_tol: float = 1e-9
@@ -111,26 +116,6 @@ def _coeff(alpha: np.ndarray | float, beta: float):
     return beta * (1.0 - alpha) / (alpha * (1.0 - beta))
 
 
-def golden_section_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximization of a continuous f on [lo, hi]."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    x = (a + b) / 2.0
-    return x, f(x)
-
-
 def _falsi_root(f: Callable[[float], float], a: float, b: float, fa: float, fb: float,
                 tol: float) -> None:
     """Shrink [a, b] around the root of a decreasing f with fa > 0 > fb to
@@ -153,26 +138,48 @@ def _falsi_root(f: Callable[[float], float], a: float, b: float, fa: float, fb: 
             return
 
 
-def _maximize_over_alpha(
-    curve: Callable[[np.ndarray], np.ndarray], beta: float, cfg: ExponentConfig
-) -> tuple[float, float]:
-    """Maximize curve(alpha) over [beta, 1]; alpha = 1 contributes 0.
+def _maximize_over_alpha(joint: JointPmf, beta: float, cfg: ExponentConfig, *, mutual: bool,
+                         scale: float, shift: float) -> tuple[float, float]:
+    """Maximize f(alpha) = lambda (scale K + shift) over alpha in [beta, 1],
+    with lambda = _coeff(alpha, beta) and K the kernel at (alpha, beta) with
+    reference P_X (mutual, K = I~) or 1_X (K = -H~); alpha = 1 contributes 0.
 
-    Grid step cfg.grid_step, golden-section refinement of the best bracket,
-    ties broken toward smaller alpha. Returns (value >= 0, arg_alpha).
+    A grid of step cfg.grid_step brackets the maximum in
+    [alpha_{i-1}, alpha_{i+1}] around the best grid point alpha_i (ties
+    toward smaller alpha). As a function of lambda, f is concave (its
+    dual is a minimum of functions affine in lambda) with slope
+    scale d + shift, d from measures._generic_tilt; the slope falls as
+    lambda grows, so it rises with alpha. The bracket's maximum is
+    therefore its lower end if the slope there is >= 0, its upper end if
+    the slope there is <= 0, and otherwise the slope's root, which
+    regula falsi brackets to cfg.alpha_tol. The best point evaluated
+    wins, ties toward smaller alpha, unless the grid point alpha_i is
+    strictly better. Returns (value >= 0, arg_alpha); a negative maximum
+    reads (0.0, 1.0).
     """
     top = 1.0 - 1e-9  # the alpha = 1 endpoint itself is the analytic 0
     alphas = np.arange(beta, 1.0, cfg.grid_step)
     alphas = alphas[alphas <= top]  # float steps can overshoot to exactly 1.0
     if len(alphas) == 0:
         alphas = np.array([min(beta, top)])
-    vals = curve(alphas)
+    k_grid = i_tilde_curve(joint, alphas, beta) if mutual else -h_tilde_curve(joint, alphas, beta)
+    vals = _coeff(alphas, beta) * (scale * k_grid + shift)
     i = int(np.argmax(vals))
-    lo = alphas[max(0, i - 1)]
-    hi = min(alphas[i] + cfg.grid_step, top)
-    a_star, v_star = golden_section_max(
-        lambda a: float(curve(np.array([a]))[0]), float(lo), float(hi), cfg.alpha_tol
-    )
+    _, logw, logrows, logr = _kernel_inputs(joint, mutual)
+    seen = []  # (f, alpha) at every point of the refinement
+
+    def falling(alpha: float) -> float:
+        """Record f(alpha); return minus its slope in lambda."""
+        k, d = _generic_tilt(logw, logrows, logr, alpha, beta)
+        seen.append((_coeff(alpha, beta) * (scale * k + shift), alpha))
+        return -(scale * d + shift)
+
+    lo = float(alphas[max(0, i - 1)])
+    hi = min(float(alphas[i]) + cfg.grid_step, top)
+    at_lo, at_hi = falling(lo), falling(hi)
+    if at_lo > 0.0 > at_hi:
+        _falsi_root(falling, lo, hi, at_lo, at_hi, cfg.alpha_tol)
+    v_star, a_star = max(seen, key=lambda p: (p[0], -p[1]))
     if vals[i] > v_star:
         a_star, v_star = float(alphas[i]), float(vals[i])
     if v_star < 0.0:
@@ -199,10 +206,7 @@ def pa_exponent(joint: JointPmf, beta: float, rate, cfg: Optional[ExponentConfig
         h = cond_entropy_variant("h", joint, beta).value
         return ExponentResult(max(r - h, 0.0), BRANCH_GE1)
 
-    def curve(alphas: np.ndarray) -> np.ndarray:
-        return _coeff(alphas, beta) * (r - h_tilde_curve(joint, alphas, beta))
-
-    value, a_star = _maximize_over_alpha(curve, beta, cfg)
+    value, a_star = _maximize_over_alpha(joint, beta, cfg, mutual=False, scale=1.0, shift=r)
     return ExponentResult(value, BRANCH_LT1, a_star)
 
 
@@ -258,10 +262,7 @@ def sc_exponent(joint: JointPmf, beta: float, rate, cfg: Optional[ExponentConfig
         i_b = mutual_info_variant("i", joint, beta).value
         return ExponentResult(max(i_b - r, 0.0), BRANCH_GE1)
 
-    def curve(alphas: np.ndarray) -> np.ndarray:
-        return _coeff(alphas, beta) * (i_tilde_curve(joint, alphas, beta) - r)
-
-    value, a_star = _maximize_over_alpha(curve, beta, cfg)
+    value, a_star = _maximize_over_alpha(joint, beta, cfg, mutual=True, scale=1.0, shift=-r)
     return ExponentResult(value, BRANCH_LT1, a_star)
 
 
@@ -426,8 +427,5 @@ def sc_one_shot_bound(joint: JointPmf, beta: float, log_m: float, n: int = 1,
         i_b = mutual_info_variant("i", joint, beta).value
         return max(n * i_b - log_m, 0.0)
 
-    def curve(alphas: np.ndarray) -> np.ndarray:
-        return _coeff(alphas, beta) * (n * i_tilde_curve(joint, alphas, beta) - log_m)
-
-    value, _ = _maximize_over_alpha(curve, beta, cfg)
+    value, _ = _maximize_over_alpha(joint, beta, cfg, mutual=True, scale=float(n), shift=-log_m)
     return value

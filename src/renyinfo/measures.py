@@ -51,11 +51,11 @@ All functions are pure functions of immutable inputs. The one piece of
 state is the kernel's prepared inputs: P_Y's support weights, their log2,
 the log rows and log r of a joint, memoized on the joint itself per
 reference (``JointPmf._kernel_memo``, keyed by ``mutual``), so repeated
-evaluations on one joint (an exponent search makes about 34) derive them
-once. The memo cannot go stale: it is a function of ``probs`` alone, which
-is a read-only copy made when the joint was validated, and its arrays are
-read-only too. It lives and dies with its joint; nothing is cached at
-module level.
+evaluations on one joint (an exponent search reads one alpha grid and a
+few single orders) derive them once. The memo cannot go stale: it is a
+function of ``probs`` alone, which is a read-only copy made when the joint
+was validated, and its arrays are read-only too. It lives and dies with
+its joint; nothing is cached at module level.
 """
 
 from __future__ import annotations
@@ -111,19 +111,25 @@ def log2_strict(p: np.ndarray) -> np.ndarray:
     return out
 
 
-def logsumexp2(t: np.ndarray, axis=None) -> np.ndarray | float:
-    """log2(sum(2**t)) with max shifting; empty or all -inf input gives -inf."""
+def logsumexp2(t: np.ndarray, axis=None, overwrite: bool = False) -> np.ndarray | float:
+    """log2(sum(2**t)) with max shifting; empty or all -inf input gives -inf.
+
+    The shifted powers live in one buffer of t's size; with ``overwrite``
+    that buffer is a float64 ``t`` itself (its contents are lost).
+    """
     t = np.asarray(t, dtype=np.float64)
     if t.size == 0:
         return -INF if axis is None else np.full(np.delete(t.shape, axis), -INF)
     m = np.maximum.reduce(t, axis=axis, keepdims=True)
     finite = np.isfinite(m)
-    if finite.all():  # then every sum is >= 1
-        out = m + np.log2(np.add.reduce(np.exp2(t - m), axis=axis, keepdims=True))
+    all_finite = finite.all()
+    shift = m if all_finite else np.where(finite, m, 0.0)
+    d = np.subtract(t, shift, out=t if overwrite else np.empty_like(t))
+    s = np.add.reduce(np.exp2(d, out=d), axis=axis, keepdims=True)
+    if all_finite:  # then every sum is >= 1
+        out = m + np.log2(s)
     else:
-        safe_m = np.where(finite, m, 0.0)
-        s = np.add.reduce(np.exp2(t - safe_m), axis=axis, keepdims=True)
-        out = np.where(finite, safe_m + np.log2(np.maximum(s, 1e-300)), m)
+        out = np.where(finite, shift + np.log2(np.maximum(s, 1e-300)), m)
     if axis is None:
         return float(out.reshape(()))
     return out.squeeze(axis=axis)
@@ -163,14 +169,20 @@ def _kernel_inputs(joint: JointPmf, mutual: bool) -> tuple[np.ndarray, ...]:
     return inputs
 
 
+def _row_logs(logrows: np.ndarray, logr: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """log2 r(x)^(1-alpha) P_{X|y}(x)^alpha, shape (len(alphas), nx, m),
+    -inf at the zero cells of the rows."""
+    t = alphas[:, None, None] * logrows
+    t += (1.0 - alphas)[:, None, None] * logr[:, None]
+    return t
+
+
 def _inner(logrows: np.ndarray, logr: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     """log2 sum_x r(x)^(1-alpha) P_{X|y}(x)^alpha, shape (len(alphas), m).
 
-    Holds one (k, nx, m) array plus the two of the exponent sum.
+    Holds one (k, nx, m) array, which the exponent sum reuses.
     """
-    t = alphas[:, None, None] * logrows
-    t += (1.0 - alphas)[:, None, None] * logr[:, None]
-    return logsumexp2(t, axis=1)
+    return logsumexp2(_row_logs(logrows, logr, alphas), axis=1, overwrite=True)
 
 
 def _power_mean(logw: np.ndarray, inner: np.ndarray, alphas: np.ndarray,
@@ -187,6 +199,29 @@ def _generic(logw, logrows, logr, alphas: np.ndarray, beta: float) -> np.ndarray
     over alpha; the weights enter only through their log ``logw``."""
     inner = _inner(logrows, logr, alphas)
     return _power_mean(logw, inner, alphas, np.array([beta]))[:, 0]
+
+
+def _generic_tilt(logw, logrows, logr, alpha: float, beta: float) -> tuple[float, float]:
+    """(K, d) at one finite alpha != 1 and finite beta > 0: the kernel K,
+    the same bits as :func:`_generic` gives at this alpha, and
+    d = D(Q_{X|Y} || r | Q_Y) of the tilted joint Q(x,y) = omega_y rho_{x|y}.
+
+    rho_{x|y} is proportional to r(x)^(1-alpha) P_{X|Y}(x|y)^alpha (the
+    terms of the row sums) and omega_y to w_y 2^((beta/alpha) inner_y) (the
+    terms of the power mean). With lambda = beta (1-alpha) / (alpha (1-beta)),
+    d is the derivative of lambda K in lambda: the slope of the exponent
+    curves, whose maximum :mod:`renyinfo.exponents` finds as its root.
+    """
+    alphas = np.array([alpha])
+    t = _row_logs(logrows, logr, alphas)
+    inner = logsumexp2(t, axis=1)
+    k = _power_mean(logw, inner, alphas, np.array([beta]))[0, 0]
+    t, inner = t[0], inner[0]
+    log_omega = logw + (beta / alpha) * inner
+    omega = np.exp2(log_omega - logsumexp2(log_omega))
+    rho = np.exp2(t - inner)
+    log_ratio = np.where(np.isfinite(t), t - inner - logr[:, None], 0.0)  # log2 rho / r
+    return float(k), float(omega @ np.add.reduce(rho * log_ratio, axis=0))
 
 
 def _row_terms(logrows: np.ndarray, logr: np.ndarray, a: ExtOrder) -> np.ndarray:

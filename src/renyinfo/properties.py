@@ -10,7 +10,8 @@ Slack is 1e-9 unless a check states otherwise. The checks of one
 two-parameter function at many orders (monotonicity, additivity,
 data processing, concavity and convexity, non-negativity) read all of a
 joint's orders from one grid call; the collapse check keeps its routes
-outside the kernel.
+outside the kernel, and lagrangian-identity compares the kernel's tilted
+slope with the dual exponents' closed-form tilt, which never calls it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,10 @@ from .dist import (
     marginal_y,
     product,
 )
+from .exponents import _Dual
 from .measures import (
+    _generic_tilt,
+    _kernel_inputs,
     cond_entropy_variant,
     mutual_info_variant,
     relative_entropy,
@@ -52,6 +56,7 @@ from .sampling import (
     triple_as_joint_x_yz,
     triple_as_joint_xy_z,
 )
+from .simplex_opt import _scatter, _Terms
 from .two_param import h_tilde, h_tilde_grid, i_tilde, i_tilde_grid
 
 ALPHA_GRID = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0)
@@ -527,6 +532,40 @@ def check_continuity_one(rng: np.random.Generator, samples: int) -> PropertyResu
     return t.result()
 
 
+def check_lagrangian_identity(rng: np.random.Generator, samples: int) -> PropertyResult:
+    """The primal exponent curves are the Lagrangian minima of the dual
+    forms (slack 1e-12, pointwise).
+
+    At lambda in (0, 1] and alpha = beta / (beta + lambda (1 - beta)), the
+    primal curve lambda (K + shift) equals F_lambda(Q_lambda) = base +
+    lambda l at the closed-form tilt Q_lambda, and the kernel's tilted
+    slope d + shift equals l(Q_lambda): for PA, K = -H~, shift = R and
+    l = R - H(X|Y)_Q; for SC, K = I~, shift = -R and
+    l = D(Q_{X|Y} || P_X | Q_Y) - R. The dual side is the tilt and the
+    relative-entropy terms of simplex_opt, which never call the kernel.
+    """
+    t = _Tracker("lagrangian-identity", slack=1e-12)
+    for i in range(samples):
+        nx, ny = _sizes(rng, 5)
+        j = random_joint(rng, nx, ny) if i % 2 == 0 else random_joint_with_zeros(rng, nx, ny)
+        beta = float(rng.uniform(0.05, 0.95))
+        lam = 1.0 - float(rng.uniform(0.0, 1.0))
+        rate = float(rng.uniform(0.0, math.log2(nx)))
+        alpha = beta / (beta + lam * (1.0 - beta))
+        for pa in (True, False):
+            dual = _Dual(j, beta, rate, pa)
+            terms = _Terms(_scatter(dual.lagrangian_tilt(lam), dual.mask), dual.logs)
+            ell = float(dual.ell(terms))
+            k, d = _generic_tilt(*_kernel_inputs(j, not pa)[1:], alpha, beta)
+            shift = rate if pa else -rate
+            witness = {"problem": "pa" if pa else "sc", "beta": beta, "lambda": lam,
+                       "rate": rate, **_joint_payload(j)}
+            t.see(abs(lam * (k + shift) - float(dual.base(terms) + lam * ell)),
+                  {"quantity": "value", **witness})
+            t.see(abs(d + shift - ell), {"quantity": "slope", **witness})
+    return t.result()
+
+
 def check_power_concavity(rng: np.random.Generator, samples: int) -> PropertyResult:
     """(a, b) -> a^x b^y with x, y >= 0, x + y <= 1 is midpoint concave;
     a self-check of the concavity harness."""
@@ -565,6 +604,8 @@ REGISTRY: dict[str, Property] = {
         Property("concavity-input", "I concave in the input distribution", check_concavity_input, 40),
         Property("convexity-channel", "I convex in the channel", check_convexity_channel, 40),
         Property("continuity-one", "generic branch continuous at alpha 1", check_continuity_one, 40),
+        Property("lagrangian-identity", "primal curves are the dual Lagrangian minima",
+                 check_lagrangian_identity, 60),
         Property("power-concavity", "harness self-check on a^x b^y", check_power_concavity, 200),
     ]
 }

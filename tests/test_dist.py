@@ -67,6 +67,21 @@ def test_pmf_is_immutable():
         p.probs[0] = 1.0
 
 
+def test_equality_compares_alphabets_and_arrays():
+    cells = [[0.1, 0.2], [0.3, 0.4]]
+    a = JointPmf(("a", "b"), ("u", "v"), cells)
+    assert a == JointPmf(("a", "b"), ("u", "v"), np.array(cells))
+    assert not a != JointPmf(("a", "b"), ("u", "v"), cells)
+    assert a != JointPmf(("a", "b"), ("u", "v"), [[0.2, 0.1], [0.3, 0.4]])
+    assert a != JointPmf(("a", "b"), ("u", "w"), cells)
+    assert a != JointPmf(("a", "b", "c"), ("u", "v"), [[0.1, 0.2], [0.3, 0.4], [0.0, 0.0]])
+    assert a != cells
+    p = Pmf(("a", "b", "c"), [0.2, 0.3, 0.5])
+    assert p == Pmf(("a", "b", "c"), [0.2, 0.3, 0.5])
+    assert p != Pmf(("a", "b", "c"), [0.3, 0.2, 0.5])
+    assert p != Pmf(("a", "b", "d"), [0.2, 0.3, 0.5])
+
+
 def test_marginals():
     u = JointPmf(("a", "b"), ("c", "d"), [[0.25, 0.25], [0.25, 0.25]])
     assert np.allclose(marginal_y(u).probs, [0.5, 0.5])

@@ -8,7 +8,6 @@ from renyinfo.dist import JointPmf, Pmf, marginal_y
 from renyinfo.exponents import (
     ExponentConfig,
     Rate,
-    golden_section_max,
     one_shot_pa_lower_bound,
     pa_dual_exponent,
     pa_dual_objective,
@@ -18,6 +17,8 @@ from renyinfo.exponents import (
     sc_one_shot_bound,
 )
 from renyinfo.measures import (
+    _generic_tilt,
+    _kernel_inputs,
     cond_entropy_variant,
     mutual_info_variant,
     renyi_divergence,
@@ -26,6 +27,7 @@ from renyinfo.measures import (
 )
 from renyinfo.sampling import random_joint, random_joint_with_zeros
 from renyinfo.simplex_opt import CERT_TOL, SolverConfig, _tilt, minimize_over_joint
+from renyinfo.two_param import h_tilde, h_tilde_curve, i_tilde_curve
 
 SOLVER = SolverConfig(max_iters=2500)
 
@@ -40,11 +42,75 @@ def ideal_divergence(joint: JointPmf, beta: float) -> float:
     return renyi_divergence(p, q, beta).value
 
 
-class TestGoldenSection:
-    def test_finds_parabola_peak(self):
-        x, v = golden_section_max(lambda t: -(t - 0.3) ** 2, 0.0, 1.0, 1e-10)
-        assert x == pytest.approx(0.3, abs=1e-8)
-        assert v == pytest.approx(0.0, abs=1e-12)
+def _fine_grid_max(joint, beta, problem, rate):
+    """The naive primal curve's maximum on a 1e-4 alpha grid over [beta, 1)."""
+    alphas = np.arange(beta, 1.0 - 1e-9, 1e-4)
+    coeff = beta * (1.0 - alphas) / (alphas * (1.0 - beta))
+    if problem == "pa":
+        return float(np.max(coeff * (rate - h_tilde_curve(joint, alphas, beta))))
+    scale = 2.0 if problem == "one-shot" else 1.0
+    return float(np.max(coeff * (scale * i_tilde_curve(joint, alphas, beta) - rate)))
+
+
+def _search(joint, beta, problem, rate):
+    """(value, arg_alpha) of one primal search; the one-shot bound is at n = 2."""
+    if problem == "pa":
+        res = pa_exponent(joint, beta, rate)
+    elif problem == "sc":
+        res = sc_exponent(joint, beta, rate)
+    else:
+        return sc_one_shot_bound(joint, beta, rate, n=2), None
+    assert res.branch == "beta_lt_1"
+    return res.value, res.arg_alpha
+
+
+class TestRefinement:
+    """The grid maximum refined by a root-find on the Lagrangian slope."""
+
+    def test_never_below_a_fine_grid(self):
+        rng = np.random.default_rng(2121)
+        for k in range(12):
+            nx, ny = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+            j = (random_joint_with_zeros if k % 3 == 0 else random_joint)(rng, nx, ny)
+            beta = float(rng.uniform(0.05, 0.95))
+            for rate in (0.2, float(rng.uniform(0.0, math.log2(nx))), math.log2(nx)):
+                for problem in ("pa", "sc", "one-shot"):
+                    case = (k, beta, rate, problem)
+                    value, arg = _search(j, beta, problem, rate)
+                    assert value >= _fine_grid_max(j, beta, problem, rate) - 1e-12, case
+                    assert value >= 0.0, case
+                    assert arg is None or beta <= arg <= 1.0, case
+
+    def test_sc_at_log_x_is_zero_at_alpha_one(self, rng):
+        # I~ <= I(X:Y) < log|X| below order one, so the curve is negative
+        for j in (random_joint(rng, 3, 2), random_joint_with_zeros(rng, 4, 3)):
+            for beta in (0.2, 0.8):
+                res = sc_exponent(j, beta, math.log2(j.shape[0]))
+                assert (res.value, res.arg_alpha) == (0.0, 1.0)
+
+    def test_maximum_at_alpha_beta(self, rng):
+        # at R = log|X| the PA slope R - H(X|Y)_Q is >= 0 for every tilt,
+        # so the curve rises all the way to lambda = 1, i.e. alpha = beta
+        for j in (random_joint(rng, 3, 3), random_joint_with_zeros(rng, 3, 4)):
+            for beta in (0.1, 0.5, 0.9):
+                r = math.log2(j.shape[0])
+                res = pa_exponent(j, beta, r)
+                assert res.arg_alpha == beta
+                assert res.value == pytest.approx(r - h_tilde(j, (beta, beta)).value, abs=1e-12)
+
+    def test_interior_maximum_is_the_slope_root(self, rng):
+        j = random_joint(rng, 3, 3)
+        beta, r = 0.5, shannon_cond_entropy(j) + 0.1
+        res = pa_exponent(j, beta, r)
+        assert beta + 2e-3 < res.arg_alpha < 1.0 - 2e-3
+        # the lambda-slope R + d rises with alpha through 0 at the maximum
+        _, logw, logrows, logr = _kernel_inputs(j, False)
+        below = _generic_tilt(logw, logrows, logr, res.arg_alpha - 1e-7, beta)[1]
+        above = _generic_tilt(logw, logrows, logr, res.arg_alpha + 1e-7, beta)[1]
+        assert r + below < 0.0 < r + above
+        coarse = pa_exponent(j, beta, r, ExponentConfig(alpha_tol=1e-4))
+        assert abs(coarse.arg_alpha - res.arg_alpha) <= 1e-4
+        assert coarse.value == pytest.approx(res.value, abs=1e-9)
 
 
 class TestRate:
@@ -57,8 +123,8 @@ class TestExponentConfig:
     @pytest.mark.parametrize("field", ["grid_step", "alpha_tol"])
     @pytest.mark.parametrize("bad", [-1e-3, 0.0, math.nan, math.inf, -math.inf])
     def test_rejects_non_positive_or_non_finite(self, field, bad):
-        # only construction is exercised: a zero alpha_tol would never end
-        # the golden-section search
+        # only construction is exercised: a zero alpha_tol would leave the
+        # root bracket to the regula-falsi step cap
         with pytest.raises(ValueError, match=field):
             ExponentConfig(**{field: bad})
 
@@ -69,11 +135,11 @@ class TestExponentConfig:
 
 class TestPaExponent:
     def test_zero_rate_gives_zero(self, rng):
-        j = random_joint(rng, 3, 3)
-        for beta in (0.3, 0.5, 0.9):
-            res = pa_exponent(j, beta, 0.0)
-            assert res.value == 0.0
-            assert res.arg_alpha == 1.0
+        for j in (random_joint(rng, 3, 3), random_joint_with_zeros(rng, 4, 3)):
+            for beta in (0.05, 0.3, 0.5, 0.9, 0.99):
+                res = pa_exponent(j, beta, 0.0)
+                assert res.value == 0.0
+                assert res.arg_alpha == 1.0
 
     def test_beta_two_at_critical_rate(self, rng):
         j = random_joint(rng, 3, 2)

@@ -10,9 +10,11 @@ from renyinfo.exponents import pa_exponent, sc_exponent
 from renyinfo.measures import (
     H_VARIANTS,
     I_VARIANTS,
+    _generic_tilt,
     _kernel_inputs,
     cond_entropy_variant,
     cond_renyi_divergence,
+    logsumexp2,
     mutual_info_variant,
     renyi_divergence,
     renyi_entropy,
@@ -21,7 +23,7 @@ from renyinfo.measures import (
 )
 from renyinfo.properties import run_properties
 from renyinfo.sampling import random_joint, random_joint_with_zeros
-from renyinfo.two_param import h_tilde, i_tilde
+from renyinfo.two_param import h_tilde, h_tilde_curve, i_tilde, i_tilde_curve
 
 GRID = (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0, math.inf)
 
@@ -232,13 +234,8 @@ class TestPreparedJoint:
         assert repr(warm) == repr(j)
         assert warm.to_dict() == j.to_dict()
         assert to_json(warm) == to_json(j)
-        # == on joints of more than one cell asks numpy for the truth value
-        # of an array, so equality is checked on one-cell joints
-        one, other = JointPmf(("x",), ("y",), [[1.0]]), JointPmf(("x",), ("y",), [[1.0]])
-        h_tilde(one, (2.0, 0.5))
-        assert one._kernel_memo and not other._kernel_memo
-        assert one == other and other == one
-        assert one != JointPmf(("x",), ("z",), [[1.0]])
+        assert warm == j and j == warm
+        assert warm != JointPmf(j.alphabet_x, ("a", "b", "c"), j.probs)
 
     def test_prepared_arrays_are_read_only(self):
         j = random_joint(np.random.default_rng(8), 3, 3)
@@ -257,3 +254,59 @@ class TestPreparedJoint:
         refs += [weakref.ref(a) for mutual in (False, True) for a in _kernel_inputs(j, mutual)]
         del j
         assert all(r() is None for r in refs)
+
+
+def _tilt_cases(seed: int, count: int):
+    """(joint, mutual, alpha, beta) over random sizes, a third of the joints
+    with zero cells, and orders on both sides of 1."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        nx, ny = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+        j = (random_joint_with_zeros if k % 3 == 0 else random_joint)(rng, nx, ny)
+        for mutual in (False, True):
+            for _ in range(5):
+                beta = float(rng.uniform(0.05, 3.0))
+                alpha = float(rng.choice([rng.uniform(0.02, 0.98), rng.uniform(1.02, 5.0)]))
+                yield j, mutual, alpha, beta
+
+
+class TestGenericTilt:
+    """The kernel value and tilted divergence at one order pair."""
+
+    def test_value_is_the_curve_to_the_bit(self):
+        checked = 0
+        for j, mutual, alpha, beta in _tilt_cases(31, 200):
+            k, _ = _generic_tilt(*_kernel_inputs(j, mutual)[1:], alpha, beta)
+            if mutual:
+                want = i_tilde_curve(j, np.array([alpha]), beta)[0]
+            else:
+                want = -h_tilde_curve(j, np.array([alpha]), beta)[0]
+            assert np.float64(k).tobytes() == np.float64(want).tobytes(), (alpha, beta)
+            checked += 1
+        assert checked == 2000
+
+    def test_divergence_is_the_lambda_derivative(self):
+        # d = d/dlambda [lambda K] with alpha = beta / (beta + lambda (1 - beta))
+        for j, mutual, _, beta in _tilt_cases(32, 20):
+            beta = min(beta, 0.95)
+            inputs = _kernel_inputs(j, mutual)[1:]
+            for lam in (0.1, 0.5, 0.9):
+                def g(x):
+                    return x * _generic_tilt(*inputs, beta / (beta + x * (1.0 - beta)), beta)[0]
+
+                numeric = (g(lam + 1e-5) - g(lam - 1e-5)) / 2e-5
+                alpha = beta / (beta + lam * (1.0 - beta))
+                assert _generic_tilt(*inputs, alpha, beta)[1] == pytest.approx(numeric, abs=1e-8)
+
+
+def test_logsumexp2_overwrite_is_the_same_bits():
+    rng = np.random.default_rng(12)
+    t = rng.normal(size=(7, 5, 4)) * 30.0
+    t[0, :, 1] = -math.inf
+    t[2, 3, 0] = -math.inf
+    for axis in (None, 0, 1, 2):
+        want = logsumexp2(t, axis=axis)
+        buffer = t.copy()
+        got = logsumexp2(buffer, axis=axis, overwrite=True)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), axis
+    assert logsumexp2(3.0) == 3.0 and logsumexp2(np.array(-math.inf)) == -math.inf
