@@ -46,7 +46,6 @@ from .orders import ExtOrder, OrderPair
 from .properties import REGISTRY, run_properties
 from .protocol import (
     BoundCheck,
-    Codebook,
     HashSpec,
     SimRecord,
     check_one_shot_sc_bound,
@@ -55,7 +54,6 @@ from .protocol import (
     pa_divergence,
     pa_min_divergence_exhaustive,
     pa_universal_family_divergence,
-    sample_codebook,
     sc_expected_divergence_exact,
     sc_expected_divergence_mc,
 )

@@ -3,8 +3,8 @@
 Subcommands: measure, exponent {pa|sc}, variational {h|i}, simulate
 {pa|sc}, verify, and sweep, an alias of measure for htilde/itilde on a
 joint that writes cmd=sweep in its comment line. Sweep-style outputs are
-RFC-4180 CSV with a leading comment line recording tool version, seed,
-and tolerances; single reports are JSON. Values are in bits unless
+RFC-4180 CSV with a leading comment line recording tool version, command,
+seed and units; single reports are JSON. Values are in bits unless
 --nats rescales them (by ln 2, at the output boundary only).
 
 Exit codes: 0 success, 2 config/parse errors, 3 enumeration/dimension cap
@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -63,8 +63,14 @@ from .protocol import (
     sc_expected_divergence_exact,
     sc_expected_divergence_mc,
 )
-from .simplex_opt import SolverConfig, variational_h, variational_i
-from .two_param import h_tilde, h_tilde_grid, i_tilde, i_tilde_grid
+from .simplex_opt import (
+    SolverConfig,
+    variational_h,
+    variational_h_target,
+    variational_i,
+    variational_i_target,
+)
+from .two_param import h_tilde_grid, i_tilde_grid
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -83,31 +89,10 @@ class CliError(RuntimeError):
         self.code = code
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated per-invocation configuration behind the output comment line."""
-
-    command: str
-    seed: Optional[int]
-    tol: float
-    nats: bool = False
-
-    def __post_init__(self):
-        if self.tol is not None and self.tol <= 0.0:
-            raise CliError("tolerance must be positive")
-
-    def comment(self) -> str:
-        units = "nats" if self.nats else "bits"
-        return f"# renyinfo {__version__} cmd={self.command} seed={self.seed} tol={self.tol} units={units}"
-
-
-def _runconfig(args, command: str) -> RunConfig:
-    return RunConfig(
-        command=command,
-        seed=getattr(args, "seed", None),
-        tol=getattr(args, "tol", 1e-9),
-        nats=bool(getattr(args, "nats", False)),
-    )
+def _comment(args, command: str) -> str:
+    """The leading comment line of a CSV output."""
+    units = "nats" if args.nats else "bits"
+    return f"# renyinfo {__version__} cmd={command} seed={args.seed} units={units}"
 
 
 def _parse_orders(text: str, what: str) -> list[ExtOrder]:
@@ -245,7 +230,7 @@ def cmd_measure(args) -> int:
             raise CliError(f"sweep supports htilde/itilde, got {bad}" if sweep
                            else f"unknown joint quantity {bad[0]!r}")
         rows = _joint_rows(obj, quantities, alphas, betas, args.strict_corner, nats)
-    _write_csv(args.out, _runconfig(args, args.command).comment(),
+    _write_csv(args.out, _comment(args, args.command),
                ["quantity", "alpha", "beta", "value", "branch"], rows)
     return EXIT_OK
 
@@ -264,27 +249,27 @@ def cmd_exponent(args) -> int:
         raise CliError(str(e))
     solver = SolverConfig(max_iters=args.solver_iters)
     primal = pa_exponent if args.problem == "pa" else sc_exponent
-    points = [(b, r) for b in betas for r in rates]
-
-    def work(point):
-        b, r = point
-        res = primal(joint, b, r, cfg)
-        dual_val, gap = "", ""
-        if args.dual and b < 1.0:
-            if args.problem == "pa":
-                g1, g2 = pa_dual_exponent(joint, b, r, solver)
-                pick = g1 if g1.minimum <= g2.minimum else g2
-                dual_val, gap = pick.minimum, pick.gap
-            else:
-                rep = sc_dual_exponent(joint, b, r, solver)
-                dual_val, gap = rep.minimum, rep.gap
-        return [b, r, repr(_scale(res.value, args.nats)),
-                "" if res.arg_alpha is None else repr(res.arg_alpha),
-                "" if dual_val == "" else repr(_scale(dual_val, args.nats)),
-                "" if gap == "" else repr(gap)]
-
-    rows = [work(point) for point in points]
-    _write_csv(args.out, _runconfig(args, f"exponent-{args.problem}").comment(),
+    rows = []
+    try:  # a NaN beta or a non-finite rate
+        for b in betas:
+            for r in rates:
+                res = primal(joint, b, r, cfg)
+                dual_val, gap = "", ""
+                if args.dual and b < 1.0:
+                    if args.problem == "pa":
+                        g1, g2 = pa_dual_exponent(joint, b, r, solver)
+                        pick = g1 if g1.minimum <= g2.minimum else g2
+                        dual_val, gap = pick.minimum, pick.gap
+                    else:
+                        rep = sc_dual_exponent(joint, b, r, solver)
+                        dual_val, gap = rep.minimum, rep.gap
+                rows.append([b, r, repr(_scale(res.value, args.nats)),
+                             "" if res.arg_alpha is None else repr(res.arg_alpha),
+                             "" if dual_val == "" else repr(_scale(dual_val, args.nats)),
+                             "" if gap == "" else repr(gap)])
+    except ValueError as e:
+        raise CliError(str(e))
+    _write_csv(args.out, _comment(args, f"exponent-{args.problem}"),
                ["beta", "rate", "value", "arg_alpha", "dual_value", "gap"], rows)
     return EXIT_OK
 
@@ -295,64 +280,49 @@ def cmd_variational(args) -> int:
     betas = _parse_floats(args.beta, "beta")
     if any(a <= 0 or not math.isfinite(a) for a in alphas + betas):
         raise CliError("variational orders must be finite positive")
-    solve = variational_h if args.which == "h" else variational_i
+    if args.which == "h":
+        solve, target_of = variational_h, variational_h_target
+    else:
+        solve, target_of = variational_i, variational_i_target
     cfg = SolverConfig(max_iters=args.solver_iters)
     rows = []
     for a in alphas:
         for b in betas:
             rep = solve(joint, a, b, cfg)
-            if args.which == "h":
-                target = 0.0 if a == 1.0 else (a - 1.0) * h_tilde(joint, (a, b)).value
-            else:
-                target = 0.0 if a == 1.0 else (1.0 - a) * i_tilde(joint, (a, b)).value
+            target = target_of(joint, a, b)
             rows.append([args.which, a, b, repr(_scale(target, args.nats)),
                          repr(_scale(rep.minimum, args.nats)), repr(rep.gap),
                          repr(abs(rep.minimum - target))])
-    _write_csv(args.out, _runconfig(args, f"variational-{args.which}").comment(),
+    _write_csv(args.out, _comment(args, f"variational-{args.which}"),
                ["quantity", "alpha", "beta", "target", "minimum", "gap", "abs_err"], rows)
     return EXIT_OK
 
 
 def _simulate_records(args) -> list:
     betas = _parse_floats(args.beta, "beta")
-    records = []
+    joint = _load_joint(args.input)
     if args.problem == "pa":
-        joint = _load_joint(args.input)
         joint_n = iid_power(joint, args.n)
-        for b in betas:
-            if args.rate is not None:
-                m, note = m_from_rate(args.n, args.rate)
-            else:
-                m, note = args.m, ""
-            if args.mode == "exhaustive":
-                val, h = pa_min_divergence_exhaustive(joint_n, m, b)
-                records.append(SimRecord(args.n, m, b, val, "exact-enumeration",
-                                         None, None, note))
-            else:
-                rec = pa_universal_family_divergence(
-                    joint_n, m, b, seed=args.seed, n_samples=args.samples, n=args.n
-                )
-                if note:
-                    rec = type(rec)(rec.n, rec.M, rec.beta, rec.value_bits, rec.estimator,
-                                    rec.stderr, rec.seed, (rec.note + "; " + note).strip("; "))
-                records.append(rec)
     else:
-        joint = _load_joint(args.input)
         px, pyx = condition_on_x(joint)
-        for b in betas:
-            if args.rate is not None:
-                m, note = m_from_rate(args.n, args.rate)
-            else:
-                m, note = args.m, ""
-            if args.mode == "exact":
-                rec = sc_expected_divergence_exact(px, pyx, args.n, m, b)
-            else:
-                rec = sc_expected_divergence_mc(px, pyx, args.n, m, b,
-                                                n_samples=args.samples, seed=args.seed)
-            if note:
-                rec = type(rec)(rec.n, rec.M, rec.beta, rec.value_bits, rec.estimator,
-                                rec.stderr, rec.seed, (rec.note + "; " + note).strip("; "))
-            records.append(rec)
+    m, note = m_from_rate(args.n, args.rate) if args.rate is not None else (args.m, "")
+    records = []
+    for b in betas:
+        if args.mode == "exhaustive":
+            val, _ = pa_min_divergence_exhaustive(joint_n, m, b)
+            rec = SimRecord(args.n, m, b, val, "exact-enumeration")
+        elif args.mode == "family":
+            rec = pa_universal_family_divergence(
+                joint_n, m, b, seed=args.seed, n_samples=args.samples, n=args.n
+            )
+        elif args.mode == "exact":
+            rec = sc_expected_divergence_exact(px, pyx, args.n, m, b)
+        else:
+            rec = sc_expected_divergence_mc(px, pyx, args.n, m, b,
+                                            n_samples=args.samples, seed=args.seed)
+        if note:
+            rec = dataclasses.replace(rec, note=(rec.note + "; " + note).strip("; "))
+        records.append(rec)
     return records
 
 
@@ -369,7 +339,7 @@ def cmd_simulate(args) -> int:
             if row[5] != "":
                 row[5] = repr(float(row[5]) * LN2)
         rows.append(row)
-    _write_csv(args.out, _runconfig(args, f"simulate-{args.problem}").comment(), SIM_CSV_HEADER, rows)
+    _write_csv(args.out, _comment(args, f"simulate-{args.problem}"), SIM_CSV_HEADER, rows)
     return EXIT_OK
 
 
@@ -416,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="output file (stdout when omitted)")
         sp.add_argument("--nats", action="store_true", help="emit values in nats")
         sp.add_argument("--seed", type=int, default=seed_default)
-        sp.add_argument("--tol", type=float, default=1e-9)
 
     sp = sub.add_parser("measure", help="evaluate information measures on a distribution")
     sp.add_argument("--input", required=True)

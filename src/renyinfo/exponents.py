@@ -200,7 +200,7 @@ def pa_exponent(joint: JointPmf, beta: float, rate, cfg: Optional[ExponentConfig
     cfg = cfg or DEFAULT_EXP_CONFIG
     r = rate.bits if isinstance(rate, Rate) else Rate(float(rate)).bits
     beta = float(beta)
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise ValueError("beta must be positive")
     if beta >= 1.0:
         h = cond_entropy_variant("h", joint, beta).value
@@ -256,7 +256,7 @@ def sc_exponent(joint: JointPmf, beta: float, rate, cfg: Optional[ExponentConfig
     cfg = cfg or DEFAULT_EXP_CONFIG
     r = rate.bits if isinstance(rate, Rate) else Rate(float(rate)).bits
     beta = float(beta)
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise ValueError("beta must be positive")
     if beta >= 1.0:
         i_b = mutual_info_variant("i", joint, beta).value
@@ -421,7 +421,7 @@ def sc_one_shot_bound(joint: JointPmf, beta: float, log_m: float, n: int = 1,
     divergence at codebook size M = 2^log_m."""
     cfg = cfg or DEFAULT_EXP_CONFIG
     beta = float(beta)
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise ValueError("beta must be positive")
     if beta >= 1.0:
         i_b = mutual_info_variant("i", joint, beta).value

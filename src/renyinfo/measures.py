@@ -33,6 +33,10 @@ divergence of the flattened joint from 1_X x P_Y or P_X x P_Y, a second
 route the collapse checks compare the kernel with. The rows come straight
 from the joint's probability matrix; no per-row distribution is built.
 
+Every entropy is a negated divergence from an all-ones reference, through
+the same divergence routine: H_alpha(p) = -D_alpha(p || 1), and at order 1
+H(X|Y) = -D(P_XY || 1_X x P_Y) and I(X:Y) = D(P_XY || P_X x P_Y).
+
 The kernel is evaluated on a whole alphas x betas grid at once: the row
 sums depend on alpha only, so they are computed once per alpha, and the
 power mean is vectorized over alpha and beta. A single pair is the
@@ -374,27 +378,19 @@ def cond_renyi_divergence(pyx: CondPmf, qyx: CondPmf, px: Pmf, order) -> Measure
 
 
 def shannon_entropy(p: Pmf | np.ndarray) -> float:
+    """H(p) in bits: -D(p || 1)."""
     pv = p.probs if isinstance(p, Pmf) else np.asarray(p, dtype=np.float64)
-    pos = pv > 0.0
-    return float(-np.sum(pv[pos] * np.log2(pv[pos])))
+    return -_divergence(pv, np.ones(pv.shape), ExtOrder.one()).value
 
 
 def renyi_entropy(p: Pmf, order) -> MeasureResult:
-    """Order-alpha Renyi entropy of a marginal, in bits.
+    """Order-alpha Renyi entropy of a marginal, in bits: -D_alpha(p || 1).
 
     (1/(1-alpha)) * log2 sum_x p^alpha for generic orders; Shannon entropy
     at 1; log2 |supp p| at 0; -log2 max p at inf.
     """
-    a = ExtOrder.of(order)
-    logp = log2_strict(p.probs)
-    if a.is_one:
-        return MeasureResult(shannon_entropy(p), BRANCH_ALPHA_ONE)
-    if a.is_zero:
-        return MeasureResult(math.log2(len(p.support)), BRANCH_ALPHA_ZERO)
-    if a.is_inf:
-        return MeasureResult(float(-logp.max()), BRANCH_ALPHA_INF)
-    alpha = a.as_float()
-    return MeasureResult(logsumexp2(alpha * logp[np.isfinite(logp)]) / (1.0 - alpha), BRANCH_GENERIC)
+    d = _divergence(p.probs, np.ones(p.probs.shape), ExtOrder.of(order))
+    return MeasureResult(-d.value, d.branch)
 
 
 # ---------------------------------------------------------------------------
@@ -410,25 +406,20 @@ SLICE_BETAS = {
 }
 
 
-def shannon_cond_entropy(joint: JointPmf) -> float:
-    """H(X|Y) in bits."""
-    p = joint.probs
-    pos = p > 0.0
-    py = np.broadcast_to(p.sum(axis=0), p.shape)
-    return float(np.sum(p[pos] * (np.log2(py[pos]) - np.log2(p[pos]))))
-
-
-def shannon_mi(joint: JointPmf) -> float:
-    """I(X:Y) in bits."""
-    p = joint.probs
-    pos = p > 0.0
-    ref = np.outer(p.sum(axis=1), p.sum(axis=0))
-    return float(np.sum(p[pos] * (np.log2(p[pos]) - np.log2(ref[pos]))))
-
-
 def _diagonal(joint: JointPmf, ref_x: np.ndarray, a: ExtOrder) -> MeasureResult:
     """D_a(P_XY || ref_x x P_Y) of the flattened joint."""
     return _divergence(joint.probs.ravel(), np.outer(ref_x, joint.probs.sum(axis=0)).ravel(), a)
+
+
+def shannon_cond_entropy(joint: JointPmf) -> float:
+    """H(X|Y) in bits: -D(P_XY || 1_X x P_Y)."""
+    # 0.0 - d, not -d: a deterministic joint gives +0.0, not -0.0
+    return 0.0 - _diagonal(joint, np.ones(joint.shape[0]), ExtOrder.one()).value
+
+
+def shannon_mi(joint: JointPmf) -> float:
+    """I(X:Y) in bits: D(P_XY || P_X x P_Y)."""
+    return _diagonal(joint, joint.probs.sum(axis=1), ExtOrder.one()).value
 
 
 def cond_entropy_variant(variant: str, joint: JointPmf, order) -> MeasureResult:

@@ -66,34 +66,12 @@ class HashSpec:
 
     table: tuple[int, ...]
     range_size: int
-    origin: str = "table"
 
     def __post_init__(self):
         if self.range_size < 1:
             raise ValueError("range size must be >= 1")
         if any(not (0 <= z < self.range_size) for z in self.table):
             raise ValueError("table values must lie in [0, range_size)")
-
-    @staticmethod
-    def identity(domain: int) -> "HashSpec":
-        return HashSpec(tuple(range(domain)), domain, "identity")
-
-    @staticmethod
-    def constant(domain: int, z: int = 0, range_size: int = 1) -> "HashSpec":
-        return HashSpec((z,) * domain, max(range_size, z + 1), "constant")
-
-
-@dataclass(frozen=True)
-class Codebook:
-    """M codewords, each a length-n tuple of input symbols, plus the seed
-    they were drawn with (None for hand-built codebooks)."""
-
-    codewords: tuple[tuple[str, ...], ...]
-    seed: Optional[int] = None
-
-    def __post_init__(self):
-        if len(self.codewords) < 1:
-            raise ValueError("a codebook needs at least one codeword")
 
 
 @dataclass(frozen=True)
@@ -157,25 +135,36 @@ def pa_apply_hash(joint_n: JointPmf, h: HashSpec) -> JointPmf:
     return JointPmf(labels_z, joint_n.alphabet_y, _induced(joint_n, h))
 
 
+def _power_sum(r: np.ndarray, ref: np.ndarray, beta: float, axis) -> np.ndarray:
+    """sum r^beta ref^(1-beta) over ``axis``, or at beta = 1 the relative
+    entropy sum r log2(r / ref), over the cells of r that carry mass.
+
+    Every caller's r is dominated by its ref (ref > 0 wherever r > 0), so
+    no support violation can occur.
+    """
+    pos = r > 0.0
+    ref = np.where(ref > 0.0, ref, 1.0)
+    # the masked copy of r is made inline, so it is freed as soon as it is read
+    if beta == 1.0:
+        return np.where(pos, r * (np.log2(np.where(pos, r, 1.0)) - np.log2(ref)), 0.0).sum(axis=axis)
+    return np.where(pos, np.power(np.where(pos, r, 1.0), beta) * np.power(ref, 1.0 - beta), 0.0).sum(axis=axis)
+
+
 def _pa_divergence_batch(r: np.ndarray, py: np.ndarray, beta: float, m: int) -> np.ndarray:
     """D_beta(R || 1_Z/M x P_Y) for a stack of induced joints r (..., k, ny).
 
     The k rows are the first k of the M hash outputs; the M - k others carry
     no mass and add nothing. The induced joint is always dominated by the
-    ideal (r(z,y) <= py(y)), so no support violation can occur for any beta.
-    At beta = inf the divergence is the largest log ratio over the cells
-    that carry mass, as in :func:`pa_divergence`.
+    ideal (r(z,y) <= py(y)). At beta = inf the divergence is the largest log
+    ratio over the cells that carry mass, as in :func:`pa_divergence`.
     """
     ref = py[None, :] / m
-    pos = r > 0.0
-    if beta == 1.0 or beta == math.inf:
+    if beta == math.inf:
+        pos = r > 0.0
         log_ratio = np.log2(np.where(pos, r, 1.0)) - np.log2(np.where(ref > 0.0, ref, 1.0))
-        if beta == 1.0:
-            return np.where(pos, r * log_ratio, 0.0).sum(axis=(-2, -1))
         return np.where(pos, log_ratio, -math.inf).max(axis=(-2, -1))
-    t = np.where(pos, np.power(np.where(pos, r, 1.0), beta) * np.power(np.where(ref > 0.0, ref, 1.0), 1.0 - beta), 0.0)
-    s = t.sum(axis=(-2, -1))
-    return np.log2(s) / (beta - 1.0)
+    s = _power_sum(r, ref, beta, (-2, -1))
+    return s if beta == 1.0 else np.log2(s) / (beta - 1.0)
 
 
 def pa_divergence(joint_n: JointPmf, h: HashSpec, beta: float) -> float:
@@ -241,9 +230,13 @@ def pa_min_divergence_exhaustive(
     Tie rule: among the partitions within ``PA_TIE_TOL`` bits of the
     minimum, the returned table is the lexicographically first RGS, and the
     returned value is that table's own divergence.
+
+    Requires M >= 1 and beta >= 0 (ValueError otherwise).
     """
     if m < 1:
         raise ValueError(f"M >= 1 required, got {m}")
+    if not beta >= 0.0:
+        raise ValueError(f"beta >= 0 required, got {beta}")
     d = len(joint_n.alphabet_x)
     total = m**d
     if total > cap:
@@ -265,7 +258,7 @@ def pa_min_divergence_exhaustive(
     if not records:
         raise RuntimeError(f"no hash table of {m}^{d} gave a divergence below +inf")
     value, table = records[0]
-    return value, HashSpec(tuple(int(z) for z in table), m, "exhaustive-min")
+    return value, HashSpec(tuple(int(z) for z in table), m)
 
 
 def _bit_matrix(count: int, bits: int) -> np.ndarray:
@@ -288,7 +281,6 @@ def pa_universal_family_divergence(
     joint_n: JointPmf,
     m: int,
     beta: float,
-    family: str = "affine-over-bits",
     seed: int = 0,
     n_samples: int = 64,
     n: int = 1,
@@ -298,10 +290,11 @@ def pa_universal_family_divergence(
 
     The family average upper-bounds its own minimum, so a hash at least as
     good as the reported ensemble mean exists; value_bits carries the best
-    sampled hash, the mean travels in the note.
+    sampled hash, the mean travels in the note. Requires n_samples >= 1
+    (ValueError otherwise).
     """
-    if family != "affine-over-bits":
-        raise ValueError(f"unsupported family {family!r}")
+    if n_samples < 1:
+        raise ValueError(f"n_samples >= 1 required, got {n_samples}")
     beta = float(beta)
     if not (1.0 <= beta <= 2.0):
         raise BetaOutOfFamilyRange("the affine family is 2-universal: beta must lie in [1, 2]")
@@ -355,23 +348,6 @@ def _channel_power(px: Pmf, pyx: CondPmf, n: int) -> tuple[np.ndarray, np.ndarra
     py1 = marginal_y(joint_from_channel(px, pyx)).probs
     pyn = reduce(np.kron, [py1] * n)
     return seq_probs, seq_rows, pyn
-
-
-def _sc_inner(pyc: np.ndarray, pyn: np.ndarray, beta: float) -> np.ndarray:
-    """sum_y P_{Y|C}^beta P_Y^(1-beta) per codebook (beta != 1), or the
-    relative entropy D(P_{Y|C} || P_Y) when beta == 1."""
-    pos = pyc > 0.0
-    if beta == 1.0:
-        lp = np.log2(np.where(pos, pyc, 1.0))
-        lref = np.log2(np.where(pyn > 0.0, pyn, 1.0))
-        return np.where(pos, pyc * (lp - lref), 0.0).sum(axis=-1)
-    t = np.where(
-        pos,
-        np.power(np.where(pos, pyc, 1.0), beta)
-        * np.power(np.where(pyn > 0.0, pyn, 1.0), 1.0 - beta),
-        0.0,
-    )
-    return t.sum(axis=-1)
 
 
 def _check_ensemble(n: int, m: int, beta: float) -> None:
@@ -429,17 +405,9 @@ def sc_expected_divergence_exact(
         k = pos - np.maximum.accumulate(np.where(first, pos, 0), axis=1) + 1
         log_w = log_fact[m] - np.where(last, log_fact[k], 0.0).sum(axis=1) + logp[idx].sum(axis=1)
         pyc = seq_rows[idx].mean(axis=1)  # (B, |Y|^n)
-        acc += float(np.sum(np.exp(log_w) * _sc_inner(pyc, pyn, beta)))
+        acc += float(np.sum(np.exp(log_w) * _power_sum(pyc, pyn, beta, -1)))
     value = acc if beta == 1.0 else math.log2(acc) / (beta - 1.0)
     return SimRecord(n, m, beta, value, "exact-enumeration")
-
-
-def sample_codebook(px: Pmf, n: int, m: int, rng: np.random.Generator) -> Codebook:
-    """Draw M i.i.d. codewords of length n from P_X^n."""
-    supp = px.support
-    idx = rng.choice(len(supp), size=(m, n), p=px.probs[supp] / px.probs[supp].sum())
-    words = tuple(tuple(px.alphabet[supp[i]] for i in row) for row in idx)
-    return Codebook(words)
 
 
 def _jackknife_se(values: np.ndarray) -> float:
@@ -463,7 +431,7 @@ def _sc_draw_inner(seq_probs, seq_rows, pyn, m: int, beta: float, n_samples: int
     if s**m <= min(_CHUNK, n_samples):
         place = s ** np.arange(m - 1, -1, -1)
         books = np.arange(s**m)[:, None] // place % s
-        table = _sc_inner(seq_rows[books].mean(axis=1), pyn, beta)
+        table = _power_sum(seq_rows[books].mean(axis=1), pyn, beta, -1)
     streams = np.random.SeedSequence(seed).spawn(math.ceil(n_samples / _CHUNK))
     inner = np.empty(n_samples)
     done = 0
@@ -472,7 +440,7 @@ def _sc_draw_inner(seq_probs, seq_rows, pyn, m: int, beta: float, n_samples: int
         rng = np.random.default_rng(child)
         idx = rng.choice(s, size=(take, m), p=seq_probs)
         if table is None:
-            inner[done : done + take] = _sc_inner(seq_rows[idx].mean(axis=1), pyn, beta)
+            inner[done : done + take] = _power_sum(seq_rows[idx].mean(axis=1), pyn, beta, -1)
         else:
             inner[done : done + take] = table[idx @ place]
         done += take

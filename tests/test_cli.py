@@ -118,11 +118,6 @@ class TestMeasure:
         _, _, r2 = read_csv(o2)
         assert float(r2[0][3]) == pytest.approx(float(r1[0][3]) * math.log(2.0))
 
-    def test_nonpositive_tolerance_rejected(self, joint_path):
-        rc = main(["measure", "--input", joint_path, "--quantity", "h",
-                   "--alpha", "2", "--tol", "-1"])
-        assert rc == 2
-
     def test_marginal_divergence(self, tmp_path):
         p = tmp_path / "p.json"
         q = tmp_path / "q.json"
@@ -182,6 +177,20 @@ class TestExponent:
         assert rc == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: grid_step") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("problem", ["pa", "sc"])
+    @pytest.mark.parametrize("beta, rate, why", [("nan", "1", "beta must be positive"),
+                                                 ("0.5", "inf", "rate must be"),
+                                                 ("2", "nan", "rate must be")])
+    def test_bad_beta_or_rate_is_config_error(self, joint_path, tmp_path, capsys,
+                                              problem, beta, rate, why):
+        out = tmp_path / "e.csv"
+        rc = main(["exponent", problem, "--input", joint_path, "--beta", beta, "--rate", rate,
+                   "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {why}") and err.count("\n") == 1
         assert not out.exists()
 
 
@@ -247,6 +256,20 @@ class TestSimulate:
         assert rc == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra, why", [
+        (["--beta", "-1"], "beta >= 0"),
+        (["--beta", "nan"], "beta >= 0"),
+        (["--beta", "1.5", "--mode", "family", "--samples", "0"], "n_samples >= 1"),
+    ])
+    def test_invalid_pa_beta_or_samples_is_config_error(self, joint_path, tmp_path, capsys,
+                                                        extra, why):
+        out = tmp_path / "s.csv"
+        rc = main(["simulate", "pa", "--input", joint_path, "--m", "4", "--out", str(out)] + extra)
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {why}") and err.count("\n") == 1
         assert not out.exists()
 
     def test_rate_rounding_recorded(self, joint_path, tmp_path):

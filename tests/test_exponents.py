@@ -119,6 +119,13 @@ class TestRate:
             Rate(-0.1)
 
 
+@pytest.mark.parametrize("fn", [pa_exponent, sc_exponent, sc_one_shot_bound])
+@pytest.mark.parametrize("beta", [math.nan, 0.0, -1.0])
+def test_non_positive_or_nan_beta_rejected(rng, fn, beta):
+    with pytest.raises(ValueError, match="beta must be positive"):
+        fn(random_joint(rng, 2, 2), beta, 0.5)
+
+
 class TestExponentConfig:
     @pytest.mark.parametrize("field", ["grid_step", "alpha_tol"])
     @pytest.mark.parametrize("bad", [-1e-3, 0.0, math.nan, math.inf, -math.inf])

@@ -109,6 +109,9 @@ class TestRenyiEntropy:
         p = Pmf(("a", "b"), [1.0, 0.0])
         for a in GRID:
             assert renyi_entropy(p, a).value == pytest.approx(0.0, abs=1e-12)
+        # the sign of the zero is pinned at the tags: +0.0 at 0, -0.0 at 1 and inf
+        signs = {a: math.copysign(1.0, renyi_entropy(p, a).value) for a in (0, 1, "inf")}
+        assert signs == {0: 1.0, 1: -1.0, "inf": -1.0}
 
     def test_bernoulli_order_two(self):
         p = Pmf(("0", "1"), [0.11, 0.89])
@@ -132,6 +135,7 @@ class TestCondEntropyVariants:
             for a in GRID:
                 v = cond_entropy_variant(variant, diag_binary, a).value
                 assert v == pytest.approx(0.0, abs=1e-12)
+        assert math.copysign(1.0, shannon_cond_entropy(diag_binary)) == 1.0  # +0.0, not -0.0
 
     def test_hstar_equals_two_param_at_beta_one(self, rng):
         j = random_joint(rng, 2, 2)

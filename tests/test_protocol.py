@@ -32,7 +32,6 @@ from renyinfo.protocol import (
     pa_divergence,
     pa_min_divergence_exhaustive,
     pa_universal_family_divergence,
-    sample_codebook,
     sc_expected_divergence_exact,
     sc_expected_divergence_mc,
 )
@@ -45,12 +44,12 @@ from conftest import bsc_joint
 class TestApplyHash:
     def test_identity_hash_relabels(self, rng):
         j = random_joint(rng, 3, 2)
-        out = pa_apply_hash(j, HashSpec.identity(3))
+        out = pa_apply_hash(j, HashSpec((0, 1, 2), 3))
         assert np.allclose(out.probs, j.probs)
 
     def test_constant_hash_collapses_to_marginal(self, rng):
         j = random_joint(rng, 3, 2)
-        out = pa_apply_hash(j, HashSpec.constant(3))
+        out = pa_apply_hash(j, HashSpec((0, 0, 0), 1))
         assert out.probs.shape == (1, 2)
         assert np.allclose(out.probs[0], marginal_y(j).probs)
 
@@ -86,6 +85,15 @@ class TestExhaustivePa:
     def test_rejects_empty_range(self, rng, m):
         with pytest.raises(ValueError, match="M >= 1"):
             pa_min_divergence_exhaustive(random_joint(rng, 3, 2), m, 0.5)
+
+    @pytest.mark.parametrize("beta", [-1.0, -math.inf, math.nan])
+    def test_rejects_negative_or_nan_beta(self, rng, beta):
+        # as pa_divergence does
+        j = random_joint(rng, 2, 2)
+        with pytest.raises(ValueError):
+            pa_divergence(j, HashSpec((0, 1), 2), beta)
+        with pytest.raises(ValueError, match="beta >= 0"):
+            pa_min_divergence_exhaustive(j, 2, beta)
 
     def test_min_matches_scalar_recomputation(self, rng):
         j = random_joint(rng, 3, 2)
@@ -245,6 +253,12 @@ class TestAffineFamily:
         with pytest.raises(BetaOutOfFamilyRange):
             pa_universal_family_divergence(j2, 2, 0.5)
 
+    @pytest.mark.parametrize("n_samples", [0, -1])
+    def test_rejects_no_samples(self, n_samples):
+        j = JointPmf(("a", "b"), ("y",), [[0.5]] * 2)
+        with pytest.raises(ValueError, match="n_samples >= 1"):
+            pa_universal_family_divergence(j, 2, 1.5, n_samples=n_samples)
+
 
 class TestScExact:
     def test_single_codeword_equals_order_beta_mi(self, rng):
@@ -388,13 +402,13 @@ class TestScMonteCarloTable:
     @staticmethod
     def _inner(px, pyx, n, m, beta, n_samples, chunk, monkeypatch):
         """The per-draw inner sums at block size ``chunk``, and the number of
-        rows of each _sc_inner call (s^M for the table)."""
+        rows of each _power_sum call (s^M for the table)."""
         rows = []
-        sc_inner = protocol._sc_inner
+        power_sum = protocol._power_sum
         seq_probs, seq_rows, pyn = protocol._channel_power(px, pyx, n)
         with monkeypatch.context() as mp:
             mp.setattr(protocol, "_CHUNK", chunk)
-            mp.setattr(protocol, "_sc_inner", lambda pyc, *a: rows.append(len(pyc)) or sc_inner(pyc, *a))
+            mp.setattr(protocol, "_power_sum", lambda pyc, *a: rows.append(len(pyc)) or power_sum(pyc, *a))
             inner = protocol._sc_draw_inner(seq_probs, seq_rows, pyn, m, beta, n_samples, seed=11)
         return inner, rows
 
@@ -482,10 +496,3 @@ class TestHelpers:
         assert m_from_rate(3, 1.0)[0] == 8
         assert m_from_rate(1, 0.0)[0] == 1
         assert m_from_rate(2, 0.8)[0] == round(2**1.6)
-
-    def test_sample_codebook_shapes(self, rng):
-        px = Pmf(("a", "b", "c"), [0.5, 0.5, 0.0])
-        cb = sample_codebook(px, 4, 3, rng)
-        assert len(cb.codewords) == 3
-        assert all(len(w) == 4 for w in cb.codewords)
-        assert all(s in ("a", "b") for w in cb.codewords for s in w)
